@@ -36,13 +36,6 @@ from .errors import (
     UnidentifiableScheme,
 )
 from .prng import rational_binding, spawn_rng
-from .symca import (
-    exact_markov_sequence,
-    solve_identifiability,
-    square_substitute,
-    symbolic_markov,
-)
-from .symca.poly import MPoly
 
 
 # -- run configuration -------------------------------------------------------
@@ -193,8 +186,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return run
 
 
-def auto_dt(config: SensorConfig, binding: dict[str, float]) -> float:
-    model = ssm.build(config)
+def auto_dt(model: ssm.StateSpaceModel, binding: dict[str, float]) -> float:
     return 0.8 * estimate.BRANCH_SAFETY / ssm.spectral_bound(model, binding)
 
 
@@ -298,12 +290,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     rng = spawn_rng(run.seed, "analyze", config.scheme_tag, str(run.n_chain))
     probe = _generic_probe(model, rng, capability)
-    probe_float = {k: float(v) for k, v in probe.items()}
 
     if capability == "orthogonal":
-        _, b, _ = ssm.evaluate(model, probe_float)
+        _, b, _ = ssm.evaluate(model, probe)
         times = np.linspace(0.0, 8.0, 33)
-        y = ssm.impulse_response(model, probe_float, times)
+        y = ssm.impulse_response(model, probe, times)
         verdicts["identifiability"] = "incapable"
         verdicts["reason"] = (
             "initial state has zero overlap with the accessible operators "
@@ -312,13 +303,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         evidence["x0_norm"] = float(np.linalg.norm(b))
         evidence["max_response"] = float(np.max(np.abs(y)))
     elif capability == "ladder":
-        _, obs_rank = realization.observability_rank(model, probe_float)
+        _, obs_rank = realization.observability_rank(model, probe)
         expected_deficiency = 0 if run.n_chain % 2 == 0 else 1
         det_cm = realization.det_cm_exact(model, probe)
         det_closed = realization.det_cm_closed_form(run.n_chain, probe)
         minimal = realization.kalman_minimal(model, probe)
         scan = sta.identifiability_scan(
-            config, trials=2, seed=run.seed, n_perturb=8
+            model, trials=2, seed=run.seed, n_perturb=8
         )
         verdicts["identifiability"] = "identifiable-in-magnitude"
         verdicts["reason"] = (
@@ -338,17 +329,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             verdicts["reason"] = "structural evidence disagreed at the probe"
     elif run.n_chain <= 2:
         minimal = realization.kalman_minimal(model, probe)
-        n = run.n_chain
-        sym = symbolic_markov(model, 2 * n + 2)
-        ring, linear, squared = estimate.cube_theta_ring(n)
-        markov = exact_markov_sequence(model, probe, 2 * n + 2)
-        equations = [
-            square_substitute(sym[k], ring, linear, squared)
-            - MPoly.const(ring, markov[k])
-            for k in range(1, 2 * n + 2, 2)
-        ]
-        square_vars = tuple(v for v in ring.variables if v != "t1")
-        solved = solve_identifiability(equations, square_vars=square_vars)
+        a, b, c = ssm.evaluate_exact(model, probe)
+        solved, recovered = estimate.cube_elimination(
+            model, ssm.markov(a, b, c, 2 * run.n_chain + 2)
+        )
         verdicts["identifiability"] = (
             "identifiable" if solved.verdict == "unique" else "inconclusive"
         )
@@ -360,18 +344,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         evidence["minimal_order"] = minimal.order
         evidence["elimination_verdict"] = solved.verdict
-        if solved.verdict == "unique":
-            theta = solved.solutions[0]
-            recovered = {
-                "ha": abs(float(theta["t1"])),
-                "hb": float(theta["t2"]) ** 0.5,
-            }
-            for i in range(1, n):
-                recovered[f"h{i}"] = float(theta[f"t{i + 2}"]) ** 0.5
-            gap = max(
-                abs(recovered[p] - abs(probe_float[p])) for p in recovered
+        if recovered is not None:
+            evidence["probe_recovery_gap"] = max(
+                abs(recovered[p] - abs(float(probe[p]))) for p in recovered
             )
-            evidence["probe_recovery_gap"] = gap
     else:
         verdicts["identifiability"] = "undecided"
         verdicts["reason"] = (
@@ -410,9 +386,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"ground truth must bind exactly {', '.join(model.param_ids)}; "
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
-    dt = run.dt if run.dt is not None else auto_dt(config, run.h_values)
+    dt = run.dt if run.dt is not None else auto_dt(model, run.h_values)
     record = estimate.simulate_record(
-        config, run.h_values, dt, run.count,
+        model, run.h_values, dt, run.count,
         noise_sigma=run.noise_sigma, seed=run.seed,
     )
     path = run.record_path or "record.csv"
@@ -510,10 +486,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     evidence: dict = {"times_checked": len(times)}
 
     # closed-form cross-checks on the two-qubit ladder family
+    ladders = {n: ssm.build(SensorConfig(n, 2, "ZaYb", "xa"))
+               for n in (2, 3, 4, 5)}
     ladder_checks = {}
-    for n in (2, 3, 4, 5):
-        ladder = SensorConfig(n, 2, "ZaYb", "xa")
-        lmodel = ssm.build(ladder)
+    for n, lmodel in ladders.items():
         lbind = rational_binding(
             lmodel.param_ids, spawn_rng(run.seed, "oracle-closed", str(n))
         )
@@ -521,8 +497,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         closed = realization.det_cm_closed_form(n, lbind)
         ladder_checks[f"det_cm_N{n}"] = det == closed
     for n in (3, 5):
-        ladder = SensorConfig(n, 2, "ZaYb", "xa")
-        lmodel = ssm.build(ladder)
+        lmodel = ladders[n]
         lbind = rational_binding(
             lmodel.param_ids, spawn_rng(run.seed, "oracle-spt", str(n))
         )

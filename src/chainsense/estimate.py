@@ -37,7 +37,13 @@ from .pauli import (
     dense_matrix,
     dense_state,
 )
-from .symca import solve_identifiability, square_substitute, symbolic_markov
+from .ssm import StateSpaceModel
+from .symca import (
+    SolveResult,
+    solve_identifiability,
+    square_substitute,
+    symbolic_markov,
+)
 from .symca.poly import MPoly, PolyRing
 
 #: sampling-interval guard: dt * (spectral bound) must stay below this
@@ -102,7 +108,7 @@ class MeasurementRecord:
 
 
 def simulate_record(
-    config: SensorConfig,
+    model: StateSpaceModel,
     binding: dict[str, float],
     dt: float,
     count: int,
@@ -118,7 +124,7 @@ def simulate_record(
     """
     if count < 2:
         raise InadmissibleConfig("a record needs at least two samples")
-    model = ssm.build(config)
+    config = model.config
     bound = ssm.spectral_bound(model, binding)
     if dt * bound >= BRANCH_SAFETY:
         raise InadmissibleConfig(
@@ -131,7 +137,7 @@ def simulate_record(
         values = ssm.impulse_response(model, binding, times)
     elif source == "quantum":
         values = exact_quantum_expectation(
-            config.hamiltonian(),
+            model.ham,
             config.initial_state(),
             config.measurement_string(),
             binding,
@@ -196,6 +202,10 @@ def load_record(path_or_file) -> MeasurementRecord:
                 raise InadmissibleConfig(
                     f"record line {lineno}: malformed row {row!r}"
                 ) from None
+            if not all(map(math.isfinite, (times[-1], values[-1], sigmas[-1]))):
+                raise InadmissibleConfig(
+                    f"record line {lineno}: non-finite value in row {row!r}"
+                )
     finally:
         if own:
             fh.close()
@@ -271,7 +281,13 @@ def era(record: MeasurementRecord, expected_order: int | None = None) -> ERAReal
     for i in range(r):
         h0[i] = values[i : i + s]
         h1[i] = values[i + 1 : i + 1 + s]
-    u, sing, vt = np.linalg.svd(h0, full_matrices=False)
+    try:
+        u, sing, vt = np.linalg.svd(h0, full_matrices=False)
+    except np.linalg.LinAlgError:
+        raise NumericFailure(
+            "Hankel SVD did not converge; the record's values are out of "
+            "working range"
+        ) from None
     diagnostics = {"hankel_shape": (r, s), "trimmed_zeros": trimmed}
 
     order, verdict, gap = _select_order(sing, record.noise_sigma, r, s)
@@ -286,7 +302,13 @@ def era(record: MeasurementRecord, expected_order: int | None = None) -> ERAReal
     un = u[:, :order]
     vn = vt[:order, :].T
     root = np.sqrt(sing[:order])
-    a_hat = (un.T @ h1 @ vn) / np.outer(root, root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_hat = (un.T @ h1 @ vn) / np.outer(root, root)
+    if not np.all(np.isfinite(a_hat)):
+        raise NumericFailure(
+            "realized state matrix is not finite; the record's values are "
+            "out of working range"
+        )
     b_hat = root * vn[0, :]
     c_hat = un[0, :] * root
     log_a = scipy.linalg.logm(a_hat)
@@ -326,17 +348,6 @@ def _select_order(sing: np.ndarray, noise_sigma: float, r: int, s: int):
         if gap < threshold:
             return k + 1, "ok", float(gap)
     return 0, "order ambiguous", float(ratios.min())
-
-
-def realized_markov(real: ERARealization, count: int, discrete: bool = False) -> np.ndarray:
-    """Markov parameters of the realization (continuous generator default)."""
-    a = real.a_hat if discrete else real.a_cont
-    out = np.empty(count)
-    vec = real.b_hat.copy()
-    for k in range(count):
-        out[k] = float(real.c_hat @ vec)
-        vec = a @ vec
-    return out
 
 
 # -- parameter recovery ------------------------------------------------------
@@ -400,6 +411,35 @@ def cube_theta_ring(n_chain: int) -> tuple[PolyRing, dict, dict]:
     return ring, linear, squared
 
 
+def cube_elimination(
+    model: StateSpaceModel, markov
+) -> tuple[SolveResult, dict[str, float] | None]:
+    """Solve the cube scheme's odd Markov parameters for the couplings.
+
+    ``markov`` holds exact values of C A^k B for k < 2N + 2.  Equating the
+    odd ones to the symbolic Markov polynomials, written in theta = (h_a,
+    h_b^2, h_1^2, ...), gives a triangular system.  Returns the elimination
+    result and, when its verdict is unique, the coupling magnitudes.
+    """
+    n = model.config.n_chain
+    sym = symbolic_markov(model, 2 * n + 2)
+    ring, linear, squared = cube_theta_ring(n)
+    equations = [
+        square_substitute(sym[k], ring, linear, squared)
+        - MPoly.const(ring, markov[k])
+        for k in range(1, 2 * n + 2, 2)
+    ]
+    square_vars = tuple(name for name in ring.variables if name != "t1")
+    solved = solve_identifiability(equations, square_vars=square_vars)
+    if solved.verdict != "unique":
+        return solved, None
+    theta = solved.solutions[0]
+    magnitudes = {"ha": abs(float(theta["t1"])), "hb": math.sqrt(float(theta["t2"]))}
+    for i in range(1, n):
+        magnitudes[f"h{i}"] = math.sqrt(float(theta[f"t{i + 2}"]))
+    return solved, magnitudes
+
+
 def recover_parameters(
     record: MeasurementRecord, config: SensorConfig
 ) -> RecoveryResult:
@@ -432,7 +472,7 @@ def recover_parameters(
                 "model order ambiguous: no singular-value gap cleared the "
                 f"threshold (gap ratio {real.diagnostics['gap_ratio']:.3e})"
             )
-        markov = realized_markov(real, 2 * n + 2)
+        markov = ssm.markov(real.a_cont, real.b_hat, real.c_hat, 2 * n + 2)
         betas = moment_chain_magnitudes(markov, n + 2)
         names = ladder_param_order(n)
         result = RecoveryResult(
@@ -457,31 +497,19 @@ def recover_parameters(
             "model order ambiguous: no singular-value gap cleared the "
             f"threshold (gap ratio {real.diagnostics['gap_ratio']:.3e})"
         )
-    markov = realized_markov(real, 2 * n + 2)
-    model = ssm.build(config)
-    sym = symbolic_markov(model, 2 * n + 2)
-    ring, linear, squared = cube_theta_ring(n)
-    equations = []
-    used = []
-    for k in range(1, 2 * n + 2, 2):
-        poly = square_substitute(sym[k], ring, linear, squared)
-        equations.append(poly - MPoly.const(ring, Fraction(float(markov[k]))))
-        used.append(k)
-    square_vars = tuple(name for name in ring.variables if name != "t1")
-    solved = solve_identifiability(equations, square_vars=square_vars)
-    if solved.verdict != "unique":
+    markov = ssm.markov(real.a_cont, real.b_hat, real.c_hat, 2 * n + 2)
+    solved, magnitudes = cube_elimination(
+        ssm.build(config), [Fraction(float(v)) for v in markov]
+    )
+    if magnitudes is None:
         raise NumericFailure(
             f"elimination verdict {solved.verdict!r} on the Markov system; "
             f"detail: {solved.detail or solved.count}"
         )
-    theta = solved.solutions[0]
-    magnitudes = {"ha": abs(float(theta["t1"])), "hb": math.sqrt(float(theta["t2"]))}
-    for i in range(1, n):
-        magnitudes[f"h{i}"] = math.sqrt(float(theta[f"t{i + 2}"]))
     diagnostics = {
-        "markov_indices": used,
+        "markov_indices": list(range(1, 2 * n + 2, 2)),
         "signed_first_coupling": float(-markov[1]),
-        "theta": {k: float(v) for k, v in theta.items()},
+        "theta": {k: float(v) for k, v in solved.solutions[0].items()},
     }
     result = RecoveryResult(
         magnitudes=magnitudes,

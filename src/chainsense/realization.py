@@ -21,24 +21,7 @@ from .ssm import StateSpaceModel
 RATIONAL = dict[str, Fraction]
 
 
-# -- Krylov matrices --------------------------------------------------------
-
-
-def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[B, AB, ..., A^{n-1}B] as columns."""
-    n = a.shape[0]
-    cols = [b]
-    for _ in range(n - 1):
-        cols.append(a @ cols[-1])
-    return np.column_stack(cols)
-
-def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """[C; CA; ...; CA^{n-1}] as rows."""
-    n = a.shape[0]
-    rows = [c]
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ a)
-    return np.vstack(rows)
+# -- Krylov ranks -----------------------------------------------------------
 
 
 def svd_rank(m: np.ndarray) -> int:
@@ -57,14 +40,16 @@ def svd_rank(m: np.ndarray) -> int:
 
 
 def controllability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int]:
-    a, b, _ = ssm.evaluate(model, {k: float(v) for k, v in binding.items()})
-    cm = controllability_matrix(a, b)
+    """Controllability matrix [B, AB, ..., A^{n-1}B] and its rank."""
+    a, b, _ = ssm.evaluate(model, binding)
+    cm = np.column_stack(ssm.krylov(a, b, model.dim))
     return cm, svd_rank(cm)
 
 
 def observability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int]:
-    a, _, c = ssm.evaluate(model, {k: float(v) for k, v in binding.items()})
-    om = observability_matrix(a, c)
+    """Observability matrix [C; CA; ...; CA^{n-1}] and its rank."""
+    a, _, c = ssm.evaluate(model, binding)
+    om = np.vstack(ssm.krylov(a.T, c, model.dim))
     return om, svd_rank(om)
 
 
@@ -73,34 +58,19 @@ def observability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int
 EXACT_RANK_DIM = 12
 
 
-def exact_controllability_matrix(model: StateSpaceModel, binding: RATIONAL):
-    a, b, _ = ssm.evaluate_exact(model, binding)
-    cols = [b]
-    for _ in range(model.dim - 1):
-        cols.append(exact.matvec(a, cols[-1]))
-    return [[cols[j][i] for j in range(model.dim)] for i in range(model.dim)]
-
-
-def exact_observability_matrix(model: StateSpaceModel, binding: RATIONAL):
-    a, _, c = ssm.evaluate_exact(model, binding)
-    at = exact.transpose(a)
-    rows = [list(c)]
-    for _ in range(model.dim - 1):
-        rows.append(exact.matvec(at, rows[-1]))
-    return rows
-
-
 def exact_observability_rank(model: StateSpaceModel, binding: RATIONAL) -> int:
     if model.dim > EXACT_RANK_DIM:
         raise DimensionMismatch(
             f"exact rank limited to dim <= {EXACT_RANK_DIM}, got {model.dim}"
         )
-    return exact.rank(exact_observability_matrix(model, binding))
+    a, _, c = ssm.evaluate_exact(model, binding)
+    return exact.rank(ssm.krylov(exact.transpose(a), c, model.dim))
 
 
 def det_cm_exact(model: StateSpaceModel, binding: RATIONAL) -> Fraction:
-    """Exact determinant of the controllability matrix."""
-    return exact.det(exact_controllability_matrix(model, binding))
+    """Exact determinant of the controllability matrix [B, AB, ..., A^{n-1}B]."""
+    a, b, _ = ssm.evaluate_exact(model, binding)
+    return exact.det(exact.transpose(ssm.krylov(a, b, model.dim)))
 
 
 def det_cm_closed_form(n_chain: int, binding: RATIONAL) -> Fraction:
@@ -116,15 +86,6 @@ def det_cm_closed_form(n_chain: int, binding: RATIONAL) -> Fraction:
         value *= Fraction(binding[f"h{i}"]) ** (n_chain - i)
     sign = -1 if ((n_chain + 1) * (n_chain + 2) // 2) % 2 else 1
     return sign * value
-
-
-def det_cm_alternate_sign(n_chain: int) -> int:
-    """Sign under the alternate convention that takes the parity product
-    over k >= 3 only.  Differs from the full-range sign by a global -1."""
-    s = 1
-    for k in range(3, n_chain + 2):
-        s *= (-1) ** k
-    return s
 
 
 # -- PBH test ---------------------------------------------------------------
@@ -143,7 +104,7 @@ class PBHResult:
 
 def pbh_test(model: StateSpaceModel, binding, lam: complex) -> PBHResult:
     """Column rank of [A - lam I; C] stacked."""
-    a, _, c = ssm.evaluate(model, {k: float(v) for k, v in binding.items()})
+    a, _, c = ssm.evaluate(model, binding)
     stacked = np.vstack([a - lam * np.eye(model.dim), c[None, :]])
     return PBHResult(lam, svd_rank(stacked), model.dim)
 
@@ -203,11 +164,9 @@ def even_structure(model: StateSpaceModel, binding: RATIONAL) -> EvenStructure:
         raise NumericFailure("permuted C is not e_1")
     tt = exact.matmul(t_block, exact.transpose(t_block))
     minus_tt = [[-v for v in row] for row in tt]
-    row = [Fraction(1)] + [Fraction(0)] * (half - 1)
-    q_stack = [row]
-    for _ in range(half - 1):
-        row = exact.matvec(exact.transpose(minus_tt), row)
-        q_stack.append(row)
+    # -T T^t is symmetric, so the row recursion r -> r (-T T^t) is a Krylov one
+    e_1 = [Fraction(1)] + [Fraction(0)] * (half - 1)
+    q_stack = ssm.krylov(minus_tt, e_1, half)
     for i, r in enumerate(q_stack):
         if any(r[j] != 0 for j in range(i + 1, half)):
             raise NumericFailure("stacked observability factor is not lower triangular")
@@ -288,10 +247,7 @@ def spt_minimal(
         raise AtypicalParameters("zero coupling: reduction formulas degenerate")
     dim = model.dim
     a, b, c = ssm.evaluate_exact(model, binding)
-    at = exact.transpose(a)
-    rows = [list(c)]
-    for _ in range(cfg.n_chain):
-        rows.append(exact.matvec(at, rows[-1]))
+    rows = ssm.krylov(exact.transpose(a), c, cfg.n_chain + 1)
     rows.append([Fraction(0)] * (dim - 1) + [Fraction(1)])
     p_matrix = rows
     p_bar = [r[: dim - 1] for r in rows[:-1]]
@@ -455,35 +411,26 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
     return m / np.where(norms > 0, norms, 1.0)
 
 
-def kalman_minimal(
-    model_or_triple, binding=None, tol: float | None = None
-) -> MinimalRealization:
+def kalman_minimal(model: StateSpaceModel, binding) -> MinimalRealization:
     """Minimal realization by projecting onto the controllable subspace and
     then the observable subspace, both found by SVD of Krylov matrices."""
-    if binding is not None:
-        a, b, c = ssm.evaluate(model_or_triple, {k: float(v) for k, v in binding.items()})
-    else:
-        a, b, c = model_or_triple
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
-    cm = _unit_columns(controllability_matrix(a, b))
-    rc = svd_rank(cm) if tol is None else int(np.count_nonzero(
-        np.linalg.svd(cm, compute_uv=False) > tol))
+    a, b, c = ssm.evaluate(model, binding)
+    cm = _unit_columns(np.column_stack(ssm.krylov(a, b, model.dim)))
+    rc = svd_rank(cm)
     vc = _orth_range(cm, rc)
     a1 = vc.T @ a @ vc
     b1 = vc.T @ b
     c1 = c @ vc
-    om = _unit_columns(observability_matrix(a1, c1).T).T
-    ro = svd_rank(om) if tol is None else int(np.count_nonzero(
-        np.linalg.svd(om, compute_uv=False) > tol))
+    # at least the row C, so an uncontrollable model reduces to order 0
+    om = _unit_columns(np.column_stack(ssm.krylov(a1.T, c1, max(rc, 1)))).T
+    ro = svd_rank(om)
     vo = _orth_range(om.T, ro)
     a2 = vo.T @ a1 @ vo
     b2 = vo.T @ b1
     c2 = c1 @ vo
     probe = min(2 * a.shape[0], 64)
-    full = _markov_float(a, b, c, probe)
-    red = _markov_float(a2, b2, c2, probe)
+    full = ssm.markov(a, b, c, probe)
+    red = ssm.markov(a2, b2, c2, probe)
     scale = max(1.0, float(np.max(np.abs(full))))
     residual = float(np.max(np.abs(full - red))) / scale
     return MinimalRealization(
@@ -499,22 +446,3 @@ def kalman_minimal(
             "method": "kalman",
         },
     )
-
-
-def _markov_float(a, b, c, count: int) -> np.ndarray:
-    out = np.empty(count)
-    vec = np.array(b, dtype=float)
-    for k in range(count):
-        out[k] = float(c @ vec)
-        vec = a @ vec
-    return out
-
-
-def markov_of_minimal(real: MinimalRealization, count: int) -> np.ndarray:
-    a = np.array([[float(v) for v in row] for row in real.a_min]) \
-        if not isinstance(real.a_min, np.ndarray) else real.a_min
-    b = np.array([float(v) for v in real.b_min]) \
-        if not isinstance(real.b_min, np.ndarray) else real.b_min
-    c = np.array([float(v) for v in real.c_min]) \
-        if not isinstance(real.c_min, np.ndarray) else real.c_min
-    return _markov_float(a, b, c, count)

@@ -151,15 +151,22 @@ def impulse_response(model: StateSpaceModel, binding: Binding, times) -> np.ndar
     return y.real
 
 
-def markov_parameters(model: StateSpaceModel, binding: Binding, count: int) -> np.ndarray:
-    """[CB, CAB, CA^2B, ...] (continuous-time Markov parameters)."""
-    a, b, c = evaluate(model, binding)
-    out = np.empty(count)
-    vec = b
-    for k in range(count):
-        out[k] = float(c @ vec)
-        vec = a @ vec
+def krylov(a, v, count: int) -> list:
+    """[v, Av, ..., A^{count-1} v] for a float ndarray A or a Fraction matrix."""
+    out = [v][:count]
+    while len(out) < count:
+        prev = out[-1]
+        out.append(a @ prev if isinstance(a, np.ndarray) else exact.matvec(a, prev))
     return out
+
+
+def markov(a, b, c, count: int):
+    """Markov parameters [CB, CAB, ..., CA^{count-1}B]: a float array for an
+    ndarray A, a list of Fractions for a Fraction matrix."""
+    vectors = krylov(a, b, count)
+    if isinstance(a, np.ndarray):
+        return np.array([float(c @ v) for v in vectors])
+    return [exact.matvec([c], v)[0] for v in vectors]
 
 
 # -- text form --------------------------------------------------------------

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact, realization, ssm
-from .accessible import SensorConfig
 from .errors import BudgetExceeded, DimensionMismatch
 from .prng import rational_binding, spawn_rng
 from .ssm import StateSpaceModel
@@ -30,6 +29,9 @@ INEQUIV_RESIDUAL = 1e-4
 DET_THRESHOLD = 1e-6
 NONSINGULAR_DRAWS = 64
 SIGN_ORBIT_CAP = 20
+#: sign patterns checked per scan trial; more flippable couplings than
+#: log2 of this are sampled instead of enumerated
+MAX_SIGN_PATTERNS = 8
 
 
 @dataclass
@@ -116,10 +118,8 @@ def solve_similarity(
                 "at this binding; reduce with realization.spt_minimal or "
                 "realization.kalman_minimal first"
             )
-    fh = {k: float(v) for k, v in binding_h.items()}
-    fhp = {k: float(v) for k, v in binding_h_prime.items()}
-    a_h, b, c = ssm.evaluate(model, fh)
-    a_hp, _, _ = ssm.evaluate(model, fhp)
+    a_h, b, c = ssm.evaluate(model, binding_h)
+    a_hp, _, _ = ssm.evaluate(model, binding_h_prime)
     inst = solve_similarity_raw(a_h, a_hp, b, c, seed=seed)
     inst.binding_h = dict(binding_h)
     inst.binding_h_prime = dict(binding_h_prime)
@@ -252,16 +252,14 @@ def _minimal_triple(model: StateSpaceModel, binding: dict[str, Fraction]):
         b = np.array([float(v) for v in minimal.b_min])
         c = np.array([float(v) for v in minimal.c_min])
         return a, b, c
-    fb = {k: float(v) for k, v in binding.items()}
-    return ssm.evaluate(model, fb)
+    return ssm.evaluate(model, binding)
 
 
 def identifiability_scan(
-    config: SensorConfig,
+    model: StateSpaceModel,
     trials: int = 5,
     seed: int = 0,
     n_perturb: int = 20,
-    max_sign_patterns: int = 8,
 ) -> ScanReport:
     """Generic identifiability-in-magnitude check for one scheme and N.
 
@@ -270,6 +268,7 @@ def identifiability_scan(
     (inequivalent).  Orthogonal schemes are vacuously unidentifiable; the
     cube scheme is decided by the symbolic route, not here.
     """
+    config = model.config
     if config.capability == "orthogonal":
         return ScanReport(config.scheme_tag, config.n_chain, [],
                           identifiable_in_magnitude=False,
@@ -278,7 +277,6 @@ def identifiability_scan(
         return ScanReport(config.scheme_tag, config.n_chain, [],
                           identifiable_in_magnitude=None,
                           reason="decided by the symbolic elimination route")
-    model = ssm.build(config)
     flippable = [p for p in model.param_ids if p != "ha"]
     trial_rows = []
     for t in range(trials):
@@ -286,12 +284,12 @@ def identifiability_scan(
         binding = rational_binding(model.param_ids, rng)
         a_h, b, c = _minimal_triple(model, binding)
         patterns = []
-        if 2 ** len(flippable) <= max_sign_patterns:
+        if 2 ** len(flippable) <= MAX_SIGN_PATTERNS:
             for r in range(1, len(flippable) + 1):
                 patterns.extend(itertools.combinations(flippable, r))
         else:
             patterns = [tuple(p for p in flippable if rng.random() < 0.5)
-                        for _ in range(max_sign_patterns)]
+                        for _ in range(MAX_SIGN_PATTERNS)]
             patterns = [p if p else (flippable[0],) for p in patterns]
         worst_equiv = 0.0
         n_equiv = 0

@@ -23,7 +23,6 @@ from .poly import (
 from .transfer import (
     RationalTransfer,
     cube_equations,
-    exact_markov_sequence,
     markov_from_transfer,
     minimal_denominator_exact,
     model_ring,
@@ -43,7 +42,6 @@ __all__ = [
     "buchberger",
     "count_real_roots",
     "cube_equations",
-    "exact_markov_sequence",
     "markov_from_transfer",
     "minimal_denominator_exact",
     "model_ring",

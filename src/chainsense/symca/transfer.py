@@ -57,9 +57,7 @@ def _apply_sparse(a_sparse, vec, ring):
     return out
 
 
-def symbolic_markov(
-    model: StateSpaceModel, count: int, term_budget: int = MARKOV_TERM_BUDGET
-) -> list[MPoly]:
+def symbolic_markov(model: StateSpaceModel, count: int) -> list[MPoly]:
     """First ``count`` Markov parameters C A^k B as polynomials in the couplings."""
     ring = model_ring(model)
     a_sparse, b, c = _symbolic_vectors(model, ring)
@@ -72,7 +70,7 @@ def symbolic_markov(
                 m = m + ci * vi
         out.append(m)
         vec = _apply_sparse(a_sparse, vec, ring)
-        if sum(len(v) for v in vec) > term_budget:
+        if sum(len(v) for v in vec) > MARKOV_TERM_BUDGET:
             raise BudgetExceeded("symbolic Markov term budget exceeded")
     return out
 
@@ -185,22 +183,6 @@ def markov_from_transfer(rt: RationalTransfer, count: int) -> list[MPoly]:
     return out
 
 
-def exact_markov_sequence(
-    model: StateSpaceModel, binding: dict, count: int
-) -> list[Fraction]:
-    """Markov parameters C A^k B as exact rationals at a parameter binding."""
-    a, b, c = ssm.evaluate_exact(model, binding)
-    out = []
-    vec = b
-    for _ in range(count):
-        out.append(sum((ci * vi for ci, vi in zip(c, vec)), Fraction(0)))
-        vec = [
-            sum((a[i][j] * vec[j] for j in range(model.dim)), Fraction(0))
-            for i in range(model.dim)
-        ]
-    return out
-
-
 def minimal_denominator_exact(
     model: StateSpaceModel, binding: dict, order: int
 ) -> list[Fraction]:
@@ -211,7 +193,8 @@ def minimal_denominator_exact(
     system is inconsistent or the solution is not unique (wrong order).
     """
     count = 2 * order + 8
-    markov = exact_markov_sequence(model, binding, count)
+    a, b, c = ssm.evaluate_exact(model, binding)
+    markov = ssm.markov(a, b, c, count)
     rows = []
     rhs = []
     for k in range(count - order):

@@ -290,7 +290,7 @@ def test_criterion_08_cube_minimal_fingerprints():
         worst_rel = max(worst_rel, rel)
         if rel > 1e-8:
             bad.append((trial, "s10-coeff", rel))
-        markov = realization.markov_of_minimal(minimal, 2)
+        markov = ssm.markov(minimal.a_min, minimal.b_min, minimal.c_min, 2)
         if abs(markov[0]) > 1e-10:
             bad.append((trial, "markov0", markov[0]))
         if abs(abs(markov[1]) - abs(binding["ha"])) > 1e-8:
@@ -308,9 +308,9 @@ def test_criterion_09_end_to_end_recovery():
     for binding in ({"ha": 1.0, "hb": 0.8, "h1": 0.5},
                     {"ha": 1.0, "hb": 0.8, "h1": 0.6}):
         cfg = _cube(2)
-        dt = 0.8 * estimate.BRANCH_SAFETY / ssm.spectral_bound(
-            ssm.build(cfg), binding)
-        rec = estimate.simulate_record(cfg, binding, dt, 120)
+        model = ssm.build(cfg)
+        dt = 0.8 * estimate.BRANCH_SAFETY / ssm.spectral_bound(model, binding)
+        rec = estimate.simulate_record(model, binding, dt, 120)
         out = estimate.recover_parameters(rec, cfg)
         err = max(abs(out.magnitudes[k] - abs(binding[k])) for k in binding)
         if err > 1e-6:
@@ -322,7 +322,7 @@ def test_criterion_09_end_to_end_recovery():
         rng = spawn_rng(9, "acc9", str(n))
         binding = random_binding(model.param_ids, rng)
         dt = 0.8 * estimate.BRANCH_SAFETY / ssm.spectral_bound(model, binding)
-        rec = estimate.simulate_record(cfg, binding, dt, 72)
+        rec = estimate.simulate_record(model, binding, dt, 72)
         out = estimate.recover_parameters(rec, cfg)
         err = max(abs(out.magnitudes[k] - abs(binding[k])) for k in binding)
         if err > 1e-6:
@@ -330,12 +330,12 @@ def test_criterion_09_end_to_end_recovery():
     # noise 1e-3: 100 seeded cube trials, <1% relative in at least 95
     cfg = _cube(2)
     binding = {"ha": 1.0, "hb": 0.8, "h1": 0.6}
-    dt = 0.8 * estimate.BRANCH_SAFETY / ssm.spectral_bound(
-        ssm.build(cfg), binding)
+    model = ssm.build(cfg)
+    dt = 0.8 * estimate.BRANCH_SAFETY / ssm.spectral_bound(model, binding)
     good = 0
     for seed in range(100):
         rec = estimate.simulate_record(
-            cfg, binding, dt, 240, noise_sigma=1e-3, seed=seed)
+            model, binding, dt, 240, noise_sigma=1e-3, seed=seed)
         try:
             out = estimate.recover_parameters(rec, cfg)
         except Exception:

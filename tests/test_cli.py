@@ -225,6 +225,42 @@ def test_estimate_corrupted_csv_names_row(tmp_path, capsys):
     assert "line 3" in err
 
 
+def _simulated_rows(tmp_path, capsys):
+    rec_path = tmp_path / "rec.csv"
+    run_cli(["simulate", *CUBE_FLAGS, "--count", "40", "--record",
+             str(rec_path)], capsys)
+    lines = rec_path.read_text().splitlines()
+    return rec_path, lines[0], [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("column,value,rows", [
+    (1, "nan", [5]),        # one NaN sample
+    (0, "nan", [5]),        # one NaN sample time
+    (2, "inf", range(40)),  # sigma = inf on every row
+])
+def test_estimate_rejects_non_finite_record(tmp_path, capsys, column, value,
+                                            rows):
+    rec_path, header, body = _simulated_rows(tmp_path, capsys)
+    for i in rows:
+        body[i][column] = value
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, _, err = run_cli(
+        ["estimate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
+    assert code == 2
+    assert "non-finite" in err
+
+
+def test_estimate_out_of_range_record_is_numeric_failure(tmp_path, capsys):
+    rec_path, header, body = _simulated_rows(tmp_path, capsys)
+    for row in body:
+        row[1] = "1e+308"
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, _, err = run_cli(
+        ["estimate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
+    assert code == 4
+    assert "numeric failure" in err
+
+
 def test_estimate_missing_record_flag(capsys):
     code, _, err = run_cli(
         ["estimate", "--measurement", "YaZb", "--n-chain", "2"], capsys)
@@ -367,3 +403,36 @@ def test_config_file_missing(capsys):
         ["analyze", "--config", "/nonexistent/run.cfg"], capsys)
     assert code == 2
     assert "not found" in err
+
+
+# -- model builds ------------------------------------------------------------
+
+
+LADDER_FLAGS = ["--measurement", "ZaYb", "--n-chain", "4",
+                "--set", "ha=1.0", "--set", "hb=0.9", "--set", "h1=1.2",
+                "--set", "h2=0.7", "--set", "h3=1.1"]
+
+
+def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build = ssm.build
+    monkeypatch.setattr(
+        ssm, "build", lambda config: built.append(config) or build(config))
+
+    def builds(argv):
+        built.clear()
+        assert run_cli(argv, capsys)[0] == 0
+        return list(built)
+
+    for flags, estimate_builds in ((LADDER_FLAGS, 0), (CUBE_FLAGS, 1)):
+        rec = tmp_path / "rec.csv"
+        assert len(builds(["simulate", *flags, "--count", "120",
+                           "--record", str(rec)])) == 1
+        assert len(builds(["estimate", *flags, "--record", str(rec)])) \
+            == estimate_builds
+        assert len(builds(["analyze", *flags])) == 1
+    # the command's own model, then each closed-form ladder N = 2..5 once
+    for flags in (LADDER_FLAGS, CUBE_FLAGS):
+        got = builds(["oracle-check", *flags])
+        assert len(got) == 5
+        assert len(set(got[1:])) == 4

@@ -22,7 +22,6 @@ from chainsense.errors import (
     UnidentifiableScheme,
 )
 from chainsense.prng import random_binding, spawn_rng
-from chainsense.symca import exact_markov_sequence
 
 
 def ladder_cfg(n):
@@ -33,14 +32,15 @@ def cube_cfg(n):
     return SensorConfig(n, 2, "YaZb", "xb")
 
 
-def safe_dt(cfg, binding, margin=0.8):
-    model = ssm.build(cfg)
+def safe_dt(model, binding, margin=0.8):
     return margin * estimate.BRANCH_SAFETY / ssm.spectral_bound(model, binding)
 
 
 def make_record(cfg, binding, count, noise=0.0, seed=0):
+    model = ssm.build(cfg)
     return estimate.simulate_record(
-        cfg, binding, safe_dt(cfg, binding), count, noise_sigma=noise, seed=seed
+        model, binding, safe_dt(model, binding), count, noise_sigma=noise,
+        seed=seed,
     )
 
 
@@ -130,9 +130,10 @@ def test_record_deterministic_per_seed():
 def test_record_quantum_source_agrees():
     cfg = ladder_cfg(2)
     binding = {"ha": 0.9, "hb": -0.7, "h1": 1.2}
-    dt = safe_dt(cfg, binding)
-    rec_m = estimate.simulate_record(cfg, binding, dt, 25)
-    rec_q = estimate.simulate_record(cfg, binding, dt, 25, source="quantum")
+    model = ssm.build(cfg)
+    dt = safe_dt(model, binding)
+    rec_m = estimate.simulate_record(model, binding, dt, 25)
+    rec_q = estimate.simulate_record(model, binding, dt, 25, source="quantum")
     assert np.max(np.abs(rec_m.values - rec_q.values)) < 1e-8
 
 
@@ -143,7 +144,7 @@ def test_record_rejects_coarse_sampling():
     bound = ssm.spectral_bound(model, binding)
     bad_dt = 1.01 * estimate.BRANCH_SAFETY / bound
     with pytest.raises(InadmissibleConfig) as err:
-        estimate.simulate_record(cfg, binding, bad_dt, 30)
+        estimate.simulate_record(model, binding, bad_dt, 30)
     assert f"{bound:.6f}" in str(err.value)
 
 
@@ -237,12 +238,21 @@ def test_era_too_short_for_expected_order():
         estimate.era(make_record(cfg, binding, 20), expected_order=12)
 
 
+def test_era_svd_failure_is_numeric_failure():
+    cfg = ladder_cfg(2)
+    rec = make_record(cfg, {"ha": 1.0, "hb": 0.8, "h1": 0.5}, 40)
+    rec.values[7] = np.nan
+    with pytest.raises(NumericFailure) as err:
+        estimate.era(rec)
+    assert "SVD" in str(err.value)
+
+
 def test_era_markov_consistency():
     cfg = ladder_cfg(2)
     binding = {"ha": 1.1, "hb": -0.7, "h1": 1.3}
     rec = make_record(cfg, binding, 60)
     real = estimate.era(rec)
-    realized = estimate.realized_markov(real, 2 * real.order, discrete=True)
+    realized = ssm.markov(real.a_hat, real.b_hat, real.c_hat, 2 * real.order)
     assert np.max(np.abs(realized - rec.values[: 2 * real.order])) < 1e-8
 
 
@@ -295,9 +305,8 @@ def test_moment_chain_from_exact_markov(n):
     binding = {"ha": Fraction(-7, 4), "hb": Fraction(5, 3)}
     for i in range(1, n):
         binding[f"h{i}"] = Fraction((-1) ** i * (i + 2), 2)
-    markov = np.array(
-        [float(v) for v in exact_markov_sequence(model, binding, 2 * n + 2)]
-    )
+    a, b, c = ssm.evaluate_exact(model, binding)
+    markov = np.array([float(v) for v in ssm.markov(a, b, c, 2 * n + 2)])
     betas = estimate.moment_chain_magnitudes(markov, n + 2)
     expect = [abs(float(binding[p])) for p in estimate.ladder_param_order(n)]
     assert np.max(np.abs(betas - np.array(expect))) < 1e-10

@@ -24,15 +24,6 @@ def cube(n_chain):
     return ssm.build(SensorConfig(n_chain, 2, "YaZb", "xb"))
 
 
-def exact_markov(a, b, c, count):
-    out = []
-    vec = list(b)
-    for _ in range(count):
-        out.append(sum(ci * vi for ci, vi in zip(c, vec)))
-        vec = exact.matvec(a, vec)
-    return out
-
-
 # -- controllability --------------------------------------------------------
 
 
@@ -69,12 +60,6 @@ def test_det_cm_closed_form_identity(n_chain):
         det = realization.det_cm_exact(model, binding)
         assert det == realization.det_cm_closed_form(n_chain, binding)
         assert det != 0
-
-
-@pytest.mark.parametrize("n_chain", [2, 3, 4, 5, 6])
-def test_det_cm_alternate_sign_is_global_minus_one(n_chain):
-    full_sign = -1 if ((n_chain + 1) * (n_chain + 2) // 2) % 2 else 1
-    assert realization.det_cm_alternate_sign(n_chain) == -full_sign
 
 
 # -- observability ----------------------------------------------------------
@@ -197,8 +182,8 @@ def test_spt_markov_exactly_preserved(n_chain):
     binding = rational_binding(model.param_ids, rng)
     minimal, _ = realization.spt_minimal(model, binding)
     a, b, c = ssm.evaluate_exact(model, binding)
-    full = exact_markov(a, b, c, 2 * model.dim)
-    red = exact_markov(minimal.a_min, minimal.b_min, minimal.c_min, 2 * model.dim)
+    full = ssm.markov(a, b, c, 2 * model.dim)
+    red = ssm.markov(minimal.a_min, minimal.b_min, minimal.c_min, 2 * model.dim)
     assert full == red
 
 
@@ -244,8 +229,9 @@ def test_kalman_and_spt_agree_on_markov():
     minimal_kal = realization.kalman_minimal(model, float_binding)
     count = 2 * model.dim
     spt_markov = np.array(
-        [float(v) for v in exact_markov(
+        [float(v) for v in ssm.markov(
             minimal_spt.a_min, minimal_spt.b_min, minimal_spt.c_min, count)])
-    kal_markov = realization.markov_of_minimal(minimal_kal, count)
+    kal_markov = ssm.markov(
+        minimal_kal.a_min, minimal_kal.b_min, minimal_kal.c_min, count)
     scale = np.max(np.abs(spt_markov))
     assert np.max(np.abs(spt_markov - kal_markov)) < 1e-8 * max(scale, 1.0)

@@ -142,7 +142,7 @@ def test_markov_parameters_match_series():
     model = ssm.build(cfg)
     rng = spawn_rng(23, "markov")
     binding = random_binding(model.param_ids, rng)
-    mk = ssm.markov_parameters(model, binding, 8)
+    mk = ssm.markov(*ssm.evaluate(model, binding), 8)
     # first two by hand: CB = 0, CAB = -ha (row 2, col 1 of A)
     assert mk[0] == 0.0
     assert mk[1] == pytest.approx(-binding["ha"], abs=1e-12)

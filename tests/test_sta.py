@@ -76,8 +76,8 @@ def test_equivalent_witness_preserves_markov():
     inst = sta.solve_similarity(model, binding, flipped)
     assert inst.verdict == "equivalent"
     count = 2 * model.dim
-    mk_h = ssm.markov_parameters(model, binding, count)
-    mk_hp = ssm.markov_parameters(model, flipped, count)
+    mk_h = ssm.markov(*ssm.evaluate(model, binding), count)
+    mk_hp = ssm.markov(*ssm.evaluate(model, flipped), count)
     scale = max(1.0, np.max(np.abs(mk_h)))
     assert np.max(np.abs(mk_h - mk_hp)) < 1e-8 * scale
 
@@ -140,18 +140,18 @@ def test_sign_orbit_sizes_and_cap():
 def test_orbit_members_share_even_markov_parameters():
     model = ladder(2)
     binding = {"ha": 0.9, "hb": 1.4, "h1": 0.6}
-    base = ssm.markov_parameters(model, binding, 10)
+    base = ssm.markov(*ssm.evaluate(model, binding), 10)
     for member in sta.sign_orbit(binding):
         if member["ha"] != binding["ha"]:
             continue  # known coupling is not scanned
-        mk = ssm.markov_parameters(model, member, 10)
+        mk = ssm.markov(*ssm.evaluate(model, member), 10)
         assert np.allclose(mk, base, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_chain", [2, 3])
 def test_identifiability_scan_ladder(n_chain):
-    config = SensorConfig(n_chain, 2, "ZaYb", "xa")
-    report = sta.identifiability_scan(config, trials=2, seed=13, n_perturb=5)
+    report = sta.identifiability_scan(
+        ladder(n_chain), trials=2, seed=13, n_perturb=5)
     assert report.identifiable_in_magnitude is True
     for trial in report.trials:
         assert trial.sign_flips_equivalent == trial.sign_flips_checked
@@ -159,9 +159,9 @@ def test_identifiability_scan_ladder(n_chain):
 
 
 def test_identifiability_scan_orthogonal_and_cube():
-    orth = sta.identifiability_scan(SensorConfig(2, 2, "YaYb", "xa"))
+    orth = sta.identifiability_scan(ssm.build(SensorConfig(2, 2, "YaYb", "xa")))
     assert orth.identifiable_in_magnitude is False
     assert "zero" in orth.reason
-    cube = sta.identifiability_scan(SensorConfig(2, 2, "YaZb", "xb"))
+    cube = sta.identifiability_scan(ssm.build(SensorConfig(2, 2, "YaZb", "xb")))
     assert cube.identifiable_in_magnitude is None
     assert "symbolic" in cube.reason

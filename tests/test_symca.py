@@ -30,7 +30,6 @@ from chainsense.symca import (
     buchberger,
     count_real_roots,
     cube_equations,
-    exact_markov_sequence,
     markov_from_transfer,
     minimal_denominator_exact,
     parse,
@@ -376,7 +375,7 @@ def test_evaluation_homomorphism_markov():
         mk = symbolic_markov(model, 7)
         for _ in range(10):
             binding = rational_binding(model, rng)
-            exact_seq = exact_markov_sequence(model, binding, 7)
+            exact_seq = ssm.markov(*ssm.evaluate_exact(model, binding), 7)
             assert [m.evaluate(binding) for m in mk] == exact_seq
 
 
@@ -468,7 +467,7 @@ def test_cube_invariant_extraction_identity(cube2):
     ring, _ = cube_equations(Fraction(1), Fraction(1), Fraction(1))
     for _ in range(6):
         binding = rational_binding(cube2, rng)
-        markov = exact_markov_sequence(cube2, binding, 4)
+        markov = ssm.markov(*ssm.evaluate_exact(cube2, binding), 4)
         den = minimal_denominator_exact(cube2, binding, 12)
         v1 = -markov[1]
         v3 = den[2]
@@ -489,7 +488,7 @@ def test_cube_end_to_end_exact_recovery(cube2):
         {"ha": Fraction(-3, 2), "hb": Fraction(-2), "h1": Fraction(5, 4)},
     ]
     for binding in bindings:
-        markov = exact_markov_sequence(cube2, binding, 4)
+        markov = ssm.markov(*ssm.evaluate_exact(cube2, binding), 4)
         den = minimal_denominator_exact(cube2, binding, 12)
         v1, v3 = -markov[1], den[2]
         v2 = -(markov[3] + v3 * markov[1])
