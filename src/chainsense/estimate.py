@@ -124,6 +124,10 @@ def simulate_record(
     """
     if count < 2:
         raise InadmissibleConfig("a record needs at least two samples")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InadmissibleConfig(
+            f"sampling interval {dt} must be finite and positive"
+        )
     config = model.config
     bound = ssm.spectral_bound(model, binding)
     if dt * bound >= BRANCH_SAFETY:
@@ -205,6 +209,10 @@ def load_record(path_or_file) -> MeasurementRecord:
             if not all(map(math.isfinite, (times[-1], values[-1], sigmas[-1]))):
                 raise InadmissibleConfig(
                     f"record line {lineno}: non-finite value in row {row!r}"
+                )
+            if sigmas[-1] < 0:
+                raise InadmissibleConfig(
+                    f"record line {lineno}: negative sigma in row {row!r}"
                 )
     finally:
         if own:

@@ -160,6 +160,44 @@ def krylov(a, v, count: int) -> list:
     return out
 
 
+#: Arnoldi stops when the orthogonalized vector's norm falls to this many
+#: units of dim * eps * |A|_F
+ARNOLDI_BREAKDOWN = 64
+
+
+def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
+    """Orthonormal basis Q of span[v, Av, ..., A^{count-1} v] and the
+    Hessenberg matrix H = Q^T A Q.
+
+    Each new direction is orthogonalized against every earlier one twice
+    (classical Gram-Schmidt with full reorthogonalization).  If the Krylov
+    space closes early, the iteration stops there: Q has fewer than
+    ``count`` columns, and that width is the number of steps reached.
+    """
+    n = a.shape[0]
+    q = np.zeros((n, count))
+    h = np.zeros((count, count))
+    tol = ARNOLDI_BREAKDOWN * n * np.finfo(float).eps * np.linalg.norm(a)
+    beta = float(np.linalg.norm(v))
+    if count == 0 or beta == 0:
+        return q[:, :0], h[:0, :0]
+    q[:, 0] = v / beta
+    for j in range(count):
+        w = a @ q[:, j]
+        for _ in range(2):
+            coef = q[:, : j + 1].T @ w
+            w = w - q[:, : j + 1] @ coef
+            h[: j + 1, j] += coef
+        if j + 1 == count:
+            break
+        norm = float(np.linalg.norm(w))
+        if norm <= tol:
+            return q[:, : j + 1], h[: j + 1, : j + 1]
+        h[j + 1, j] = norm
+        q[:, j + 1] = w / norm
+    return q, h
+
+
 def markov(a, b, c, count: int):
     """Markov parameters [CB, CAB, ..., CA^{count-1}B]: a float array for an
     ndarray A, a list of Fractions for a Fraction matrix."""

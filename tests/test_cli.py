@@ -1,12 +1,17 @@
 """CLI contract tests: verbs, exit codes, determinism, report agreement."""
 
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainsense import cli, estimate, ssm
+from chainsense import cli, estimate, realization, ssm
 from chainsense.accessible import SensorConfig
 
 
@@ -35,6 +40,36 @@ def test_analyze_ladder_identifiable_in_magnitude(capsys):
     assert "identifiable-in-magnitude" in out
     assert "scan_clean = True" in out
     assert "det_cm_matches_closed_form = True" in out
+
+
+@pytest.mark.parametrize("n_chain", [20, 21, 24, 40])
+def test_analyze_long_ladder_identifiable_in_magnitude(tmp_path, capsys,
+                                                       n_chain):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["analyze", "--measurement", "ZaYb", "--n-chain", str(n_chain),
+         "--seed", "3", "--report", str(out_path)], capsys)
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["verdicts"]["identifiability"] == "identifiable-in-magnitude"
+    dim = payload["evidence"]["state_dim"]
+    assert payload["evidence"]["observability_rank"] == dim - n_chain % 2
+    assert payload["evidence"]["scan_clean"] is True
+
+
+def test_analyze_referee_disagreement_is_numeric_failure(capsys, monkeypatch):
+    spt_minimal = realization.spt_minimal
+
+    def skewed(model, binding):
+        minimal, art = spt_minimal(model, binding)
+        minimal.a_min[0][0] += 1e-6
+        return minimal, art
+
+    monkeypatch.setattr(realization, "spt_minimal", skewed)
+    code, _, err = run_cli(
+        ["analyze", "--measurement", "ZaYb", "--n-chain", "3"], capsys)
+    assert code == 4
+    assert "exact" in err
 
 
 def test_analyze_orthogonal_two_qubit_incapable(capsys):
@@ -168,6 +203,17 @@ def test_simulate_rejects_coarse_dt(capsys):
     assert "too coarse" in err
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.1"])
+def test_simulate_rejects_non_positive_dt(tmp_path, capsys, dt):
+    rec_path = tmp_path / "rec.csv"
+    code, _, err = run_cli(
+        ["simulate", *CUBE_FLAGS, "--dt", dt, "--record", str(rec_path)],
+        capsys)
+    assert code == 2
+    assert "finite and positive" in err
+    assert not rec_path.exists()
+
+
 # -- estimate ----------------------------------------------------------------
 
 
@@ -248,6 +294,17 @@ def test_estimate_rejects_non_finite_record(tmp_path, capsys, column, value,
         ["estimate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
     assert code == 2
     assert "non-finite" in err
+
+
+def test_estimate_rejects_negative_sigma(tmp_path, capsys):
+    rec_path, header, body = _simulated_rows(tmp_path, capsys)
+    for row in body:
+        row[2] = "-0.001"
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, _, err = run_cli(
+        ["estimate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
+    assert code == 2
+    assert "line 2" in err and "negative sigma" in err
 
 
 def test_estimate_out_of_range_record_is_numeric_failure(tmp_path, capsys):
@@ -436,3 +493,26 @@ def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
         got = builds(["oracle-check", *flags])
         assert len(got) == 5
         assert len(set(got[1:])) == 4
+
+
+# -- module entry point --------------------------------------------------------
+
+
+def test_python_m_chainsense_matches_in_process_main(tmp_path, capsys):
+    argv = ["analyze", "--measurement", "ZaYb", "--n-chain", "3"]
+    in_process = tmp_path / "in_process.json"
+    assert run_cli([*argv, "--report", str(in_process)], capsys)[0] == 0
+    module = tmp_path / "module.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "chainsense", *argv, "--report", str(module)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert module.read_bytes() == in_process.read_bytes()
+
+
+def test_importing_the_entry_module_runs_nothing(capsys):
+    importlib.import_module("chainsense.__main__")
+    assert capsys.readouterr() == ("", "")

@@ -153,6 +153,37 @@ def test_markov_parameters_match_series():
     assert y == pytest.approx(series, abs=1e-15)
 
 
+def test_arnoldi_basis_spans_the_krylov_space():
+    model = ssm.build(SensorConfig(5, 2, "ZaYb", "xa"))
+    a, b, _ = ssm.evaluate(model, random_binding(model.param_ids,
+                                                  spawn_rng(2, "arnoldi")))
+    q, h = ssm.arnoldi(a, b, 4)
+    assert q.shape == (model.dim, 4) and h.shape == (4, 4)
+    assert np.allclose(q.T @ q, np.eye(4), atol=1e-14)
+    assert np.allclose(h, q.T @ a @ q, atol=1e-13)
+    assert np.allclose(np.tril(h, -2), 0.0)
+    krylov = np.column_stack(ssm.krylov(a, b, 4))
+    assert np.allclose(q @ (q.T @ krylov), krylov, atol=1e-12 * np.abs(krylov).max())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_arnoldi_stops_where_the_krylov_space_closes():
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    q, h = ssm.arnoldi(a, np.array([1.0, 1.0, 0.0, 0.0]), 4)
+    assert q.shape == (4, 2) and h.shape == (2, 2)
+    assert ssm.arnoldi(a, np.zeros(4), 4)[0].shape == (4, 0)
+
+
+@pytest.mark.parametrize("n_chain", range(1, 61))
+def test_arnoldi_steps_give_the_ladder_observability_rank(n_chain):
+    """dim at even N, dim - 1 at odd N (one unobservable direction)."""
+    model = ssm.build(SensorConfig(n_chain, 2, "ZaYb", "xa"))
+    binding = random_binding(model.param_ids, spawn_rng(4, str(n_chain)))
+    a, _, c = ssm.evaluate(model, binding)
+    q, _ = ssm.arnoldi(a.T, c, model.dim)
+    assert q.shape[1] == model.dim - n_chain % 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     t=st.floats(min_value=0.0, max_value=50.0),

@@ -15,6 +15,9 @@ from chainsense.accessible import SensorConfig
 from chainsense.errors import BudgetExceeded, DimensionMismatch
 from chainsense.prng import random_binding, rational_binding, spawn_rng
 
+# a 0/0 or overflow inside the certificate is a bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def ladder(n_chain):
     return ssm.build(SensorConfig(n_chain, 2, "ZaYb", "xa"))
@@ -165,3 +168,66 @@ def test_identifiability_scan_orthogonal_and_cube():
     cube = sta.identifiability_scan(ssm.build(SensorConfig(2, 2, "YaZb", "xb")))
     assert cube.identifiable_in_magnitude is None
     assert "symbolic" in cube.reason
+
+
+@pytest.mark.parametrize("n_chain", [12, 16, 24, 41])
+def test_certificate_verdicts_on_long_chains(n_chain):
+    model = ladder(n_chain)
+    rng = spawn_rng(17, "long", str(n_chain))
+    binding = rational_binding(model.param_ids, rng)
+    a_h, b, c = sta._minimal_triple(model, binding)
+    flippable = [p for p in model.param_ids if p != "ha"]
+    for _ in range(4):
+        flip = {p for p in flippable if rng.random() < 0.5} or {"hb"}
+        a_hp, _, _ = sta._minimal_triple(model, sta.flip_binding(binding, flip))
+        inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+        assert inst.verdict == "equivalent", flip
+        assert inst.affine_dim == 0
+        assert abs(inst.s_matrix[0, 0] - 1.0) <= 1e-8
+        assert np.allclose(np.abs(inst.s_matrix), np.eye(len(b)), atol=1e-8)
+    for pid in ("ha", "hb", f"h{n_chain - 1}"):
+        perturbed = dict(binding)
+        perturbed[pid] = binding[pid] * Fraction(21, 20)  # +5 %
+        a_hp, _, _ = sta._minimal_triple(model, perturbed)
+        inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+        assert inst.verdict == "inequivalent", pid
+        assert inst.residual >= 1e-4
+
+
+@pytest.mark.parametrize("n_chain", range(3, 26, 2))
+def test_float_spt_matches_exact_reduction(n_chain):
+    model = ladder(n_chain)
+    binding = rational_binding(model.param_ids, spawn_rng(19, str(n_chain)))
+    a_min, b_min, c_min = sta._minimal_triple(model, binding)
+    minimal, _ = realization.spt_minimal(model, binding)
+    ref = np.array([[float(v) for v in row] for row in minimal.a_min])
+    assert np.max(np.abs(a_min - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert b_min.tolist() == [float(v) for v in minimal.b_min]
+    assert c_min.tolist() == [float(v) for v in minimal.c_min]
+
+
+def test_krylov_breakdown_is_degenerate():
+    a = np.diag([1.0, 2.0, 3.0])
+    x0 = np.array([1.0, 0.0, 0.0])  # an eigenvector: the Krylov space is 1-d
+    inst = sta.solve_similarity_raw(a, a, x0, x0)
+    assert inst.verdict == "degenerate"
+    assert inst.diagnostics["breakdown_step"] == 1
+    assert inst.s_matrix is None
+
+
+def test_exact_certificate_lifts_the_dim_cap():
+    model = ladder(8)  # dim 10
+    rng = spawn_rng(23, "exact-long")
+    binding = rational_binding(model.param_ids, rng)
+    a, b, c = ssm.evaluate_exact(model, binding)
+    flipped = sta.flip_binding(binding, {"hb", "h3", "h7"})
+    a_p, _, _ = ssm.evaluate_exact(model, flipped)
+    inst = sta.solve_similarity_exact(a, a_p, b, c)
+    assert inst.verdict == "equivalent"
+    assert np.array_equal(inst.s_matrix,
+                          expected_diag_witness(model, {"hb", "h3", "h7"}))
+    bumped = dict(binding, h4=binding["h4"] * Fraction(21, 20))
+    a_p, _, _ = ssm.evaluate_exact(model, bumped)
+    inst = sta.solve_similarity_exact(a, a_p, b, c)
+    assert inst.verdict == "inequivalent"
+    assert inst.residual > 0
