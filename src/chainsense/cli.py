@@ -303,10 +303,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         evidence["x0_norm"] = float(np.linalg.norm(b))
         evidence["max_response"] = float(np.max(np.abs(y)))
     elif capability == "ladder":
-        # the rank is where Arnoldi on (A^T, C^T) closes its Krylov space;
-        # an SVD of the raw powers C A^k loses rank from N = 20 on
-        a, _, c = ssm.evaluate(model, probe)
-        obs_rank = ssm.arnoldi(a.T, c, model.dim)[0].shape[1]
+        _, obs_rank = realization.observability_rank(model, probe)
         expected_deficiency = 0 if run.n_chain % 2 == 0 else 1
         det_cm = realization.det_cm_exact(model, probe)
         det_closed = realization.det_cm_closed_form(run.n_chain, probe)

@@ -40,17 +40,22 @@ def svd_rank(m: np.ndarray) -> int:
 
 
 def controllability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int]:
-    """Controllability matrix [B, AB, ..., A^{n-1}B] and its rank."""
+    """Orthonormal basis of span[B, AB, ..., A^{n-1}B] and its rank.
+
+    The rank is where Arnoldi on (A, B) closes its Krylov space; an SVD of
+    the raw powers A^k B loses rank on the ladder from N = 20 on.
+    """
     a, b, _ = ssm.evaluate(model, binding)
-    cm = np.column_stack(ssm.krylov(a, b, model.dim))
-    return cm, svd_rank(cm)
+    q, _ = ssm.arnoldi(a, b, model.dim)
+    return q, q.shape[1]
 
 
 def observability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int]:
-    """Observability matrix [C; CA; ...; CA^{n-1}] and its rank."""
+    """Orthonormal basis of span[C^T, A^T C^T, ...] and its rank, found as
+    in ``controllability_rank`` with (A^T, C^T)."""
     a, _, c = ssm.evaluate(model, binding)
-    om = np.vstack(ssm.krylov(a.T, c, model.dim))
-    return om, svd_rank(om)
+    q, _ = ssm.arnoldi(a.T, c, model.dim)
+    return q, q.shape[1]
 
 
 # -- exact tier -------------------------------------------------------------

@@ -27,7 +27,7 @@ def cube(n_chain):
 # -- controllability --------------------------------------------------------
 
 
-@pytest.mark.parametrize("n_chain", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_chain", [2, 3, 4, 5, 20, 33, 40])
 def test_ladder_controllability_full_rank(n_chain):
     model = ladder(n_chain)
     rng = spawn_rng(3, "cm", str(n_chain))
@@ -75,6 +75,26 @@ def test_observability_rank_parity(n_chain, expect_deficiency):
     exact_rank = realization.exact_observability_rank(
         model, rational_binding(model.param_ids, rng))
     assert exact_rank == model.dim - expect_deficiency
+
+
+@pytest.mark.parametrize("n_chain", [20, 21, 33, 40])
+def test_observability_rank_parity_on_long_ladders(n_chain):
+    # beyond EXACT_RANK_DIM; raw-power SVD ranks came out short here
+    model = ladder(n_chain)
+    binding = random_binding(model.param_ids, spawn_rng(3, "long", str(n_chain)))
+    _, rank = realization.observability_rank(model, binding)
+    assert rank == model.dim - n_chain % 2
+
+
+@pytest.mark.parametrize("n_chain", [1, 2, 3])
+def test_cube_krylov_ranks_match_exact_rank(n_chain):
+    model = cube(n_chain)
+    binding = rational_binding(model.param_ids, spawn_rng(3, "rk", str(n_chain)))
+    a, b, c = ssm.evaluate_exact(model, binding)
+    _, obs = realization.observability_rank(model, binding)
+    _, ctrl = realization.controllability_rank(model, binding)
+    assert obs == exact.rank(ssm.krylov(exact.transpose(a), c, model.dim))
+    assert ctrl == exact.rank(ssm.krylov(a, b, model.dim))
 
 
 @pytest.mark.parametrize("n_chain", [3, 5])
