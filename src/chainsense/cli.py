@@ -50,7 +50,6 @@ class RunConfig:
     measurement: str = "ZaYb"
     initial: str | None = None
     h_values: dict[str, float] | None = None
-    known_params: tuple[str, ...] = ("ha",)
     dt: float | None = None
     count: int = 120
     noise_sigma: float = 0.0
@@ -81,7 +80,7 @@ class RunConfig:
 
 
 _FILE_SCHEMA = {
-    "scheme": {"n_chain", "sensor_qubits", "measurement", "initial", "known"},
+    "scheme": {"n_chain", "sensor_qubits", "measurement", "initial"},
     "truth": None,  # any parameter name
     "sampling": {"dt", "count", "noise_sigma", "seed"},
     "output": {"record", "report"},
@@ -118,10 +117,6 @@ def read_config_file(path: str) -> dict:
             out["measurement"] = sec["measurement"]
         if "initial" in sec:
             out["initial"] = sec["initial"]
-        if "known" in sec:
-            out["known_params"] = tuple(
-                p.strip() for p in sec["known"].split(",") if p.strip()
-            )
     if parser.has_section("truth"):
         out["h_values"] = {k: float(v) for k, v in parser["truth"].items()}
     if parser.has_section("sampling"):
@@ -179,10 +174,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                     f"--set {item!r}: {raw!r} is not a number"
                 ) from None
         run.h_values = values
-    if getattr(args, "known", None) is not None:
-        run.known_params = tuple(
-            p.strip() for p in args.known.split(",") if p.strip()
-        )
     return run
 
 
@@ -566,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--initial", help="initial-state label, e.g. xa")
     common.add_argument("--set", action="append", metavar="NAME=VALUE",
                         help="ground-truth coupling (repeatable)")
-    common.add_argument("--known", help="comma list of known parameters")
     common.add_argument("--dt", type=float)
     common.add_argument("--count", type=int)
     common.add_argument("--noise-sigma", dest="noise_sigma", type=float)

@@ -30,7 +30,6 @@ from .errors import (
     InadmissibleConfig,
 )
 
-MAX_QUBITS = 62
 ORACLE_MAX_QUBITS = 14
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -54,10 +53,8 @@ class PauliString:
     phase_exp: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise DimensionMismatch(
-                f"qubit count {self.n_qubits} outside 1..{MAX_QUBITS}"
-            )
+        if self.n_qubits < 1:
+            raise DimensionMismatch(f"qubit count {self.n_qubits} below 1")
         full = (1 << self.n_qubits) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise DimensionMismatch("mask has bits beyond the register")

@@ -1,10 +1,12 @@
 """Structural analysis of the linear models: Krylov ranks, PBH, minimal
 realizations, and the closed-form determinant oracles.
 
-Two arithmetic tiers.  Floating point (SVD thresholds) drives scans and the
-Kalman staircase; exact rationals certify every rank or determinant verdict
-at sampled rational bindings, since genericity claims are best pinned down
-by identities rather than tolerances.
+Two arithmetic tiers.  In floating point every Krylov rank (controllable,
+observable, and the two projections of the Kalman reduction) is the step
+where ``ssm.arnoldi`` stops; only the PBH test takes an SVD rank.  Exact
+rationals certify every rank or determinant verdict at sampled rational
+bindings, since genericity claims are best pinned down by identities rather
+than tolerances.
 """
 
 from __future__ import annotations
@@ -137,9 +139,7 @@ class EvenStructure:
     certifies full observability whenever no coupling vanishes.
     """
 
-    permutation: tuple[int, ...]
     t_block: list[list[Fraction]]
-    q_stack: list[list[Fraction]]
     q_diagonal: tuple[Fraction, ...]
 
 
@@ -176,9 +176,7 @@ def even_structure(model: StateSpaceModel, binding: RATIONAL) -> EvenStructure:
         if any(r[j] != 0 for j in range(i + 1, half)):
             raise NumericFailure("stacked observability factor is not lower triangular")
     return EvenStructure(
-        permutation=perm,
         t_block=t_block,
-        q_stack=q_stack,
         q_diagonal=tuple(q_stack[i][i] for i in range(half)),
     )
 
@@ -207,18 +205,10 @@ def even_q_diagonal_closed_form(n_chain: int, binding: RATIONAL) -> tuple[Fracti
 class SPTArtifacts:
     """Intermediate objects of the structure-preserving reduction, exact."""
 
-    p_matrix: list[list[Fraction]]
     p_bar: list[list[Fraction]]
     p_vec: list[Fraction]
-    q: list[list[Fraction]]
-    q_inv: list[list[Fraction]]
-    ul: list[list[Fraction]]
-    ur: list[Fraction]
-    dl: list[Fraction]
-    dr: Fraction
     a_tilde: list[list[Fraction]]
     det_p_bar: Fraction
-    k_const: Fraction
 
 
 @dataclass
@@ -226,7 +216,6 @@ class MinimalRealization:
     a_min: object
     b_min: object
     c_min: object
-    transform: object = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -239,11 +228,10 @@ def spt_minimal(
 ) -> tuple[MinimalRealization, SPTArtifacts]:
     """Reduce the odd-N ladder by one unobservable direction, exactly.
 
-    Builds the square matrix whose rows are C, CA, ..., CA^N followed by
-    the last coordinate row, partitions it as [[Pbar, p], [0, 1]], and
-    transforms with Q = [[I, Pbar^{-1} p], [0, 1]].  The reduced triple
-    keeps B and C verbatim (their last entries are zero) and its first N
-    columns coincide with A's.
+    Splits the rows C, CA, ..., CA^N as [Pbar, p], p being the last
+    coordinate, and transforms with Q = [[I, Pbar^{-1} p], [0, 1]].  The
+    reduced triple keeps B and C verbatim (their last entries are zero) and
+    its first N columns coincide with A's.
     """
     cfg = model.config
     if cfg.capability != "ladder" or cfg.n_chain % 2 == 0:
@@ -253,50 +241,24 @@ def spt_minimal(
     dim = model.dim
     a, b, c = ssm.evaluate_exact(model, binding)
     rows = ssm.krylov(exact.transpose(a), c, cfg.n_chain + 1)
-    rows.append([Fraction(0)] * (dim - 1) + [Fraction(1)])
-    p_matrix = rows
-    p_bar = [r[: dim - 1] for r in rows[:-1]]
-    p_vec = [r[dim - 1] for r in rows[:-1]]
+    p_bar = [r[: dim - 1] for r in rows]
+    p_vec = [r[dim - 1] for r in rows]
     det_p_bar = exact.det(p_bar)
     if det_p_bar == 0:
         raise AtypicalParameters("singular reduced row matrix at this binding")
     w = exact.solve(p_bar, p_vec)  # Pbar^{-1} p
     m = dim - 1
-    q = exact.identity(dim)
-    q_inv = exact.identity(dim)
-    for i in range(m):
-        q[i][m] = w[i]
-        q_inv[i][m] = -w[i]
-    ul = [row[:m] for row in a[:m]]
-    ur = [a[i][m] for i in range(m)]
-    dl = list(a[m][:m])
-    dr = a[m][m]
-    a_tilde = [
-        [ul[i][j] + w[i] * dl[j] for j in range(m)] for i in range(m)
-    ]
+    a_tilde = [[a[i][j] + w[i] * a[m][j] for j in range(m)] for i in range(m)]
     b_min = b[:m]
     c_min = c[:m]
     if b[m] != 0 or c[m] != 0:
         raise NumericFailure("last entries of B or C are unexpectedly nonzero")
     art = SPTArtifacts(
-        p_matrix=p_matrix,
-        p_bar=p_bar,
-        p_vec=p_vec,
-        q=q,
-        q_inv=q_inv,
-        ul=ul,
-        ur=ur,
-        dl=dl,
-        dr=dr,
-        a_tilde=a_tilde,
-        det_p_bar=det_p_bar,
-        k_const=k_const_closed_form(cfg.n_chain, binding),
-    )
+        p_bar=p_bar, p_vec=p_vec, a_tilde=a_tilde, det_p_bar=det_p_bar)
     minimal = MinimalRealization(
         a_min=a_tilde,
         b_min=b_min,
         c_min=c_min,
-        transform=q,
         diagnostics={"order": m, "unobservable_dim": 1, "method": "spt"},
     )
     return minimal, art
@@ -396,41 +358,21 @@ def a_tilde_last_column_closed_form(n_chain: int, binding: RATIONAL) -> list[Fra
     return out
 
 
-# -- Kalman staircase reduction ---------------------------------------------
-
-
-def _orth_range(m: np.ndarray, rank: int) -> np.ndarray:
-    u, _, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :rank]
-
-
-def _unit_columns(m: np.ndarray) -> np.ndarray:
-    """Scale each column to unit norm (zero columns untouched).
-
-    Krylov blocks A^k B span many orders of magnitude, so the raw matrix
-    hides genuinely independent but weakly amplified directions below any
-    relative rank threshold.  Column scaling leaves the column space (and
-    hence the rank) unchanged while making every direction count O(1).
-    """
-    norms = np.linalg.norm(m, axis=0)
-    return m / np.where(norms > 0, norms, 1.0)
+# -- Kalman reduction -------------------------------------------------------
 
 
 def kalman_minimal(model: StateSpaceModel, binding) -> MinimalRealization:
     """Minimal realization by projecting onto the controllable subspace and
-    then the observable subspace, both found by SVD of Krylov matrices."""
+    then the observable subspace, each the orthonormal basis where Arnoldi
+    stops (the Krylov route to the Kalman decomposition)."""
     a, b, c = ssm.evaluate(model, binding)
-    cm = _unit_columns(np.column_stack(ssm.krylov(a, b, model.dim)))
-    rc = svd_rank(cm)
-    vc = _orth_range(cm, rc)
-    a1 = vc.T @ a @ vc
+    vc, a1 = ssm.arnoldi(a, b, model.dim)
+    rc = vc.shape[1]
     b1 = vc.T @ b
     c1 = c @ vc
-    # at least the row C, so an uncontrollable model reduces to order 0
-    om = _unit_columns(np.column_stack(ssm.krylov(a1.T, c1, max(rc, 1)))).T
-    ro = svd_rank(om)
-    vo = _orth_range(om.T, ro)
-    a2 = vo.T @ a1 @ vo
+    vo, ho = ssm.arnoldi(a1.T, c1, rc)
+    ro = vo.shape[1]
+    a2 = ho.T
     b2 = vo.T @ b1
     c2 = c1 @ vo
     probe = min(2 * a.shape[0], 64)
@@ -442,7 +384,6 @@ def kalman_minimal(model: StateSpaceModel, binding) -> MinimalRealization:
         a_min=a2,
         b_min=b2,
         c_min=c2,
-        transform=None,
         diagnostics={
             "order": ro,
             "controllable_rank": rc,

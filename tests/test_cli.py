@@ -42,7 +42,7 @@ def test_analyze_ladder_identifiable_in_magnitude(capsys):
     assert "det_cm_matches_closed_form = True" in out
 
 
-@pytest.mark.parametrize("n_chain", [20, 21, 24, 40])
+@pytest.mark.parametrize("n_chain", [20, 21, 24, 33, 40])
 def test_analyze_long_ladder_identifiable_in_magnitude(tmp_path, capsys,
                                                        n_chain):
     out_path = tmp_path / "report.json"
@@ -54,6 +54,7 @@ def test_analyze_long_ladder_identifiable_in_magnitude(tmp_path, capsys,
     assert payload["verdicts"]["identifiability"] == "identifiable-in-magnitude"
     dim = payload["evidence"]["state_dim"]
     assert payload["evidence"]["observability_rank"] == dim - n_chain % 2
+    assert payload["evidence"]["minimal_order"] == dim - n_chain % 2
     assert payload["evidence"]["scan_clean"] is True
 
 
@@ -453,6 +454,15 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(["analyze", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert "n_chian" in err
+
+
+def test_config_file_known_key_rejected(tmp_path, capsys):
+    # nothing reads a list of known parameters; the key is not accepted
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[scheme]\nknown = hb\n")
+    code, _, err = run_cli(["analyze", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert "'known'" in err
 
 
 def test_config_file_missing(capsys):

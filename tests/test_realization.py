@@ -15,6 +15,9 @@ from chainsense.accessible import SensorConfig
 from chainsense.errors import AtypicalParameters, DimensionMismatch
 from chainsense.prng import random_binding, rational_binding, spawn_rng
 
+# a 0/0 or overflow inside a float rank decision is a bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def ladder(n_chain):
     return ssm.build(SensorConfig(n_chain, 2, "ZaYb", "xa"))
@@ -230,13 +233,41 @@ def test_kalman_cube_n2_minimal_order_12():
     assert real.diagnostics["markov_residual"] < 1e-8
 
 
-@pytest.mark.parametrize("n_chain,order", [(2, 4), (4, 6), (3, 4), (5, 6)])
+@pytest.mark.parametrize("n_chain,order", [
+    (2, 4), (4, 6), (3, 4), (5, 6), (30, 32), (33, 34), (40, 42), (41, 42)])
 def test_kalman_ladder_orders(n_chain, order):
     model = ladder(n_chain)
     rng = spawn_rng(41, "kalman-ladder", str(n_chain))
     binding = random_binding(model.param_ids, rng)
     real = realization.kalman_minimal(model, binding)
     assert real.order == order
+    assert real.diagnostics["markov_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("build,n_chain", [
+    (ladder, 1), (ladder, 2), (ladder, 3), (ladder, 4), (ladder, 5), (ladder, 6),
+    (cube, 1), (cube, 2)])
+def test_kalman_order_is_exact_hankel_rank(build, n_chain):
+    # the minimal order of a SISO triple is the rank of its Markov Hankel matrix
+    model = build(n_chain)
+    binding = rational_binding(
+        model.param_ids, spawn_rng(47, "kalman-hankel", str(n_chain)))
+    a, b, c = ssm.evaluate_exact(model, binding)
+    markov = ssm.markov(a, b, c, 2 * model.dim)
+    hankel = [markov[i:i + model.dim] for i in range(model.dim)]
+    real = realization.kalman_minimal(model, binding)
+    assert real.order == exact.rank(hankel)
+    assert real.diagnostics["markov_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("n_chain", [61, 70])
+def test_ladder_orders_past_62_qubits(n_chain):
+    # Pauli masks are Python ints, so the closure has no register cap
+    model = ladder(n_chain)
+    binding = random_binding(model.param_ids, spawn_rng(3, "wide", str(n_chain)))
+    _, rank = realization.observability_rank(model, binding)
+    real = realization.kalman_minimal(model, binding)
+    assert rank == real.order == model.dim - n_chain % 2
     assert real.diagnostics["markov_residual"] < 1e-8
 
 
