@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .errors import (
     ChainsenseError,
     InadmissibleConfig,
     NumericFailure,
-    OracleSizeLimit,
     UnidentifiableScheme,
 )
 from .prng import rational_binding, spawn_rng
@@ -59,107 +59,117 @@ class RunConfig:
 
     def sensor_config(self) -> SensorConfig:
         initial = self.initial
-        if initial is None:
-            key = (self.measurement, self.sensor_qubits)
-            if key not in CATALOG:
-                raise InadmissibleConfig(
-                    f"measurement {self.measurement!r} with a "
-                    f"{self.sensor_qubits}-qubit sensor is not in the catalog"
-                )
-            options = CATALOG[key]
-            if len(options) == 1:
-                initial = options[0]
-            else:
-                raise InadmissibleConfig(
-                    f"scheme {self.measurement}@{self.sensor_qubits}q admits "
-                    f"several initial states ({', '.join(options)}); "
-                    "pick one with --initial"
-                )
+        options = CATALOG.get((self.measurement, self.sensor_qubits), ())
+        if initial is None and len(options) > 1:
+            raise InadmissibleConfig(
+                f"scheme {self.measurement}@{self.sensor_qubits}q admits "
+                f"several initial states ({', '.join(options)}); "
+                "pick one with --initial"
+            )
+        if initial is None and options:
+            initial = options[0]
+        # SensorConfig refuses a scheme outside the catalog
         return SensorConfig(self.n_chain, self.sensor_qubits,
                             self.measurement, initial)
 
 
-_FILE_SCHEMA = {
-    "scheme": {"n_chain", "sensor_qubits", "measurement", "initial"},
-    "truth": None,  # any parameter name
-    "sampling": {"dt", "count", "noise_sigma", "seed"},
-    "output": {"record", "report"},
-}
+class _Setting(NamedTuple):
+    attr: str  # RunConfig field
+    section: str  # config-file section
+    key: str  # config-file key; the flag is --key with dashes
+    type: type
+    help: str | None = None
+
+
+_SETTINGS = (
+    _Setting("n_chain", "scheme", "n_chain", int),
+    _Setting("sensor_qubits", "scheme", "sensor_qubits", int),
+    _Setting("measurement", "scheme", "measurement", str,
+             "measurement label, e.g. ZaYb"),
+    _Setting("initial", "scheme", "initial", str,
+             "initial-state label, e.g. xa"),
+    _Setting("dt", "sampling", "dt", float),
+    _Setting("count", "sampling", "count", int),
+    _Setting("noise_sigma", "sampling", "noise_sigma", float),
+    _Setting("seed", "sampling", "seed", int),
+    _Setting("record_path", "output", "record", str, "record CSV path"),
+    _Setting("report_path", "output", "report", str,
+             "machine-readable report path"),
+)
+
+
+def _read_text(path: str, what: str) -> str:
+    """Contents of a file the CLI reads; any failure is inadmissible input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise InadmissibleConfig(f"{what} {path!r} not found") from None
+    except UnicodeDecodeError:
+        raise InadmissibleConfig(f"{what} {path!r} is not UTF-8 text") from None
+    except OSError as err:
+        raise InadmissibleConfig(f"{what} {path!r}: {err.strerror}") from None
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise InadmissibleConfig(
+            f"cannot write {what} {path!r}: {err.strerror}"
+        ) from None
 
 
 def read_config_file(path: str) -> dict:
-    """Parse the key=value section file into a flat override dict."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise InadmissibleConfig(f"config file {path!r} not found")
+    """Parse the key=value section file into a flat RunConfig override dict.
+
+    Values are literal: ``%`` is not an interpolation marker.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(_read_text(path, "config file"), source=path)
+    except configparser.Error as err:  # its messages span several lines
+        raise InadmissibleConfig(" ".join(str(err).split())) from None
+    known = {(s.section, s.key): s for s in _SETTINGS}
+    out: dict = {}
     for section in parser.sections():
-        if section not in _FILE_SCHEMA:
+        if section != "truth" and section not in {s.section for s in _SETTINGS}:
             raise InadmissibleConfig(
                 f"config file {path!r}: unknown section [{section}]"
             )
-        allowed = _FILE_SCHEMA[section]
-        if allowed is not None:
-            for key in parser[section]:
-                if key not in allowed:
-                    raise InadmissibleConfig(
-                        f"config file {path!r}: unknown key {key!r} in "
-                        f"[{section}]"
-                    )
-    out: dict = {}
-    if parser.has_section("scheme"):
-        sec = parser["scheme"]
-        if "n_chain" in sec:
-            out["n_chain"] = sec.getint("n_chain")
-        if "sensor_qubits" in sec:
-            out["sensor_qubits"] = sec.getint("sensor_qubits")
-        if "measurement" in sec:
-            out["measurement"] = sec["measurement"]
-        if "initial" in sec:
-            out["initial"] = sec["initial"]
-    if parser.has_section("truth"):
-        out["h_values"] = {k: float(v) for k, v in parser["truth"].items()}
-    if parser.has_section("sampling"):
-        sec = parser["sampling"]
-        if "dt" in sec:
-            out["dt"] = sec.getfloat("dt")
-        if "count" in sec:
-            out["count"] = sec.getint("count")
-        if "noise_sigma" in sec:
-            out["noise_sigma"] = sec.getfloat("noise_sigma")
-        if "seed" in sec:
-            out["seed"] = sec.getint("seed")
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "record" in sec:
-            out["record_path"] = sec["record"]
-        if "report" in sec:
-            out["report_path"] = sec["report"]
+        for key, raw in parser[section].items():
+            setting = known.get((section, key))
+            if section != "truth" and setting is None:
+                raise InadmissibleConfig(
+                    f"config file {path!r}: unknown key {key!r} in "
+                    f"[{section}]"
+                )
+            kind = float if setting is None else setting.type
+            try:
+                value = kind(raw)
+            except ValueError:
+                raise InadmissibleConfig(
+                    f"config file {path!r}: [{section}] {key} = {raw!r} is "
+                    f"not a valid {kind.__name__}"
+                ) from None
+            if setting is None:  # [truth]: any parameter name
+                out.setdefault("h_values", {})[key] = value
+            else:
+                out[setting.attr] = value
     return out
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     run = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            setattr(run, key, value)
-    flag_map = {
-        "n_chain": "n_chain",
-        "sensor_qubits": "sensor_qubits",
-        "measurement": "measurement",
-        "initial": "initial",
-        "dt": "dt",
-        "count": "count",
-        "noise_sigma": "noise_sigma",
-        "seed": "seed",
-        "record": "record_path",
-        "report": "report_path",
-    }
-    for flag, attr in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    if args.config:
+        for attr, value in read_config_file(args.config).items():
             setattr(run, attr, value)
-    if getattr(args, "set", None):
+    for setting in _SETTINGS:
+        value = getattr(args, setting.key)
+        if value is not None:
+            setattr(run, setting.attr, value)
+    if args.set:
         values = dict(run.h_values or {})
         for item in args.set:
             if "=" not in item:
@@ -184,6 +194,10 @@ def auto_dt(model: ssm.StateSpaceModel, binding: dict[str, float]) -> float:
 # -- reports -----------------------------------------------------------------
 
 
+# the dict-valued parts of a report
+_SECTIONS = ("scheme", "verdicts", "estimates", "residuals", "evidence")
+
+
 @dataclass
 class Report:
     command: str
@@ -198,12 +212,8 @@ class Report:
     def payload(self) -> dict:
         return {
             "command": self.command,
-            "scheme": self.scheme,
-            "verdicts": self.verdicts,
-            "estimates": self.estimates,
-            "residuals": self.residuals,
-            "evidence": self.evidence,
             "seed": self.seed,
+            **{key: getattr(self, key) for key in _SECTIONS},
         }
 
     def machine_text(self) -> str:
@@ -216,7 +226,7 @@ class Report:
             f"  scheme     {tag}  chain length {self.scheme.get('n_chain')}"
             f"  class {self.scheme.get('capability')}"
         )
-        for section in ("verdicts", "estimates", "residuals", "evidence"):
+        for section in _SECTIONS[1:]:  # the scheme has its own line
             data = getattr(self, section)
             if not data:
                 continue
@@ -242,8 +252,7 @@ def _show(value) -> str:
 def emit(report: Report, run: RunConfig) -> None:
     sys.stdout.write(report.human_text())
     if run.report_path:
-        with open(run.report_path, "w") as fh:
-            fh.write(report.machine_text())
+        _write_text(run.report_path, report.machine_text(), "report")
         sys.stdout.write(f"  report written to {run.report_path}\n")
 
 
@@ -383,7 +392,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         noise_sigma=run.noise_sigma, seed=run.seed,
     )
     path = run.record_path or "record.csv"
-    estimate.save_record(record, path)
+    _write_text(path, estimate.record_to_text(record), "record")
     if config.capability == "orthogonal":
         sys.stdout.write(
             "warning: this scheme reads out identically zero; the record "
@@ -405,7 +414,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if not run.record_path:
         raise InadmissibleConfig("estimate needs --record pointing at a CSV")
-    record = estimate.load_record(run.record_path)
+    record = estimate.record_from_text(_read_text(run.record_path, "record"))
     config = run.sensor_config()
     result = estimate.recover_parameters(record, config)
     verdicts = {
@@ -516,22 +525,21 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        with open(args.path) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise InadmissibleConfig(f"report file {args.path!r} not found")
+        payload = json.loads(_read_text(args.path, "report file"))
     except json.JSONDecodeError as err:
         raise InadmissibleConfig(
             f"report file {args.path!r} is not valid JSON: {err}"
         ) from None
+    if not isinstance(payload, dict) or not all(
+        isinstance(payload.get(key, {}), dict) for key in _SECTIONS
+    ):
+        raise InadmissibleConfig(
+            f"report file {args.path!r} is not a chainsense report object"
+        )
     report = Report(
         command=payload.get("command", "?"),
-        scheme=payload.get("scheme", {}),
-        verdicts=payload.get("verdicts", {}),
-        estimates=payload.get("estimates", {}),
-        residuals=payload.get("residuals", {}),
-        evidence=payload.get("evidence", {}),
         seed=payload.get("seed", 0),
+        **{key: payload.get(key, {}) for key in _SECTIONS},
     )
     sys.stdout.write(report.human_text())
     return 0
@@ -550,19 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value section file")
-    common.add_argument("--n-chain", dest="n_chain", type=int)
-    common.add_argument("--sensor-qubits", dest="sensor_qubits", type=int,
-                        choices=(1, 2))
-    common.add_argument("--measurement", help="measurement label, e.g. ZaYb")
-    common.add_argument("--initial", help="initial-state label, e.g. xa")
     common.add_argument("--set", action="append", metavar="NAME=VALUE",
                         help="ground-truth coupling (repeatable)")
-    common.add_argument("--dt", type=float)
-    common.add_argument("--count", type=int)
-    common.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--record", help="record CSV path")
-    common.add_argument("--report", help="machine-readable report path")
+    for setting in _SETTINGS:
+        common.add_argument("--" + setting.key.replace("_", "-"),
+                            type=setting.type, help=setting.help)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="identifiability verdict with evidence")
@@ -587,16 +587,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InadmissibleConfig, OracleSizeLimit) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
     except UnidentifiableScheme as err:
         sys.stderr.write(f"refused: {err}\n")
         return 3
     except (NumericFailure, BudgetExceeded) as err:
         sys.stderr.write(f"numeric failure: {err}\n")
         return 4
-    except ChainsenseError as err:
+    except ChainsenseError as err:  # inadmissible input, oracle size cap
         sys.stderr.write(f"error: {err}\n")
         return 2
 

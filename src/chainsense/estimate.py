@@ -124,6 +124,13 @@ def simulate_record(
     """
     if count < 2:
         raise InadmissibleConfig("a record needs at least two samples")
+    for name, value in binding.items():
+        if not math.isfinite(value):
+            raise InadmissibleConfig(f"coupling {name} = {value} is not finite")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InadmissibleConfig(
+            f"noise_sigma {noise_sigma} must be finite and nonnegative"
+        )
     if not (math.isfinite(dt) and dt > 0):
         raise InadmissibleConfig(
             f"sampling interval {dt} must be finite and positive"
@@ -150,8 +157,6 @@ def simulate_record(
     else:
         raise InadmissibleConfig(f"unknown record source {source!r}")
     values = np.asarray(values, dtype=float)
-    if noise_sigma < 0:
-        raise InadmissibleConfig("noise_sigma must be nonnegative")
     if noise_sigma:
         rng = np.random.default_rng(seed)
         values = values + noise_sigma * rng.standard_normal(count)
@@ -165,58 +170,47 @@ def simulate_record(
     )
 
 
-def save_record(record: MeasurementRecord, path_or_file) -> None:
+def save_record(record: MeasurementRecord, fh) -> None:
     """CSV with header t,y,sigma,seed,scheme; floats via repr (bit-exact)."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_HEADER)
-        for t, y in zip(record.times, record.values):
-            writer.writerow(
-                [repr(float(t)), repr(float(y)), repr(record.noise_sigma),
-                 record.seed, record.scheme_tag]
-            )
-    finally:
-        if own:
-            fh.close()
+    writer = csv.writer(fh)
+    writer.writerow(RECORD_HEADER)
+    for t, y in zip(record.times, record.values):
+        writer.writerow(
+            [repr(float(t)), repr(float(y)), repr(record.noise_sigma),
+             record.seed, record.scheme_tag]
+        )
 
 
-def load_record(path_or_file) -> MeasurementRecord:
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "r", newline="") if own else path_or_file
-    try:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != RECORD_HEADER:
+def load_record(fh) -> MeasurementRecord:
+    """Parse the CSV that save_record writes; any defect is inadmissible."""
+    reader = csv.reader(fh)
+    header = tuple(next(reader, ()))
+    if header != RECORD_HEADER:
+        raise InadmissibleConfig(
+            f"record header {header!r} does not match {RECORD_HEADER!r}"
+        )
+    times, values, sigmas, seeds, tags = [], [], [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            times.append(float(row[0]))
+            values.append(float(row[1]))
+            sigmas.append(float(row[2]))
+            seeds.append(int(row[3]))
+            tags.append(row[4])
+        except (ValueError, IndexError):
             raise InadmissibleConfig(
-                f"record header {header!r} does not match {RECORD_HEADER!r}"
+                f"record line {lineno}: malformed row {row!r}"
+            ) from None
+        if not all(map(math.isfinite, (times[-1], values[-1], sigmas[-1]))):
+            raise InadmissibleConfig(
+                f"record line {lineno}: non-finite value in row {row!r}"
             )
-        times, values, sigmas, seeds, tags = [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-                sigmas.append(float(row[2]))
-                seeds.append(int(row[3]))
-                tags.append(row[4])
-            except (ValueError, IndexError):
-                raise InadmissibleConfig(
-                    f"record line {lineno}: malformed row {row!r}"
-                ) from None
-            if not all(map(math.isfinite, (times[-1], values[-1], sigmas[-1]))):
-                raise InadmissibleConfig(
-                    f"record line {lineno}: non-finite value in row {row!r}"
-                )
-            if sigmas[-1] < 0:
-                raise InadmissibleConfig(
-                    f"record line {lineno}: negative sigma in row {row!r}"
-                )
-    finally:
-        if own:
-            fh.close()
+        if sigmas[-1] < 0:
+            raise InadmissibleConfig(
+                f"record line {lineno}: negative sigma in row {row!r}"
+            )
     if len(times) < 2:
         raise InadmissibleConfig("record has fewer than two samples")
     if len(set(sigmas)) != 1 or len(set(seeds)) != 1 or len(set(tags)) != 1:
@@ -317,9 +311,22 @@ def era(record: MeasurementRecord, expected_order: int | None = None) -> ERAReal
             "realized state matrix is not finite; the record's values are "
             "out of working range"
         )
+    if np.linalg.cond(a_hat) > 1 / np.finfo(float).eps:
+        # e^{A dt} is never singular, and logm can stall on one that is
+        raise NumericFailure(
+            "realized state matrix is singular, so it is no matrix "
+            "exponential; the record's values are out of working range"
+        )
     b_hat = root * vn[0, :]
     c_hat = un[0, :] * root
-    log_a = scipy.linalg.logm(a_hat)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_a = scipy.linalg.logm(a_hat)
+    except ValueError:  # an extreme a_hat overflows inside logm
+        raise NumericFailure(
+            "matrix logarithm failed; the record's values are out of "
+            "working range"
+        ) from None
     if np.max(np.abs(np.imag(log_a))) > 1e-8 * max(1.0, np.max(np.abs(log_a))):
         raise NumericFailure(
             "matrix logarithm came back complex; sampling likely crossed "
@@ -480,7 +487,7 @@ def recover_parameters(
                 "model order ambiguous: no singular-value gap cleared the "
                 f"threshold (gap ratio {real.diagnostics['gap_ratio']:.3e})"
             )
-        markov = ssm.markov(real.a_cont, real.b_hat, real.c_hat, 2 * n + 2)
+        markov = _realized_markov(real, 2 * n + 2)
         betas = moment_chain_magnitudes(markov, n + 2)
         names = ladder_param_order(n)
         result = RecoveryResult(
@@ -505,7 +512,7 @@ def recover_parameters(
             "model order ambiguous: no singular-value gap cleared the "
             f"threshold (gap ratio {real.diagnostics['gap_ratio']:.3e})"
         )
-    markov = ssm.markov(real.a_cont, real.b_hat, real.c_hat, 2 * n + 2)
+    markov = _realized_markov(real, 2 * n + 2)
     solved, magnitudes = cube_elimination(
         ssm.build(config), [Fraction(float(v)) for v in markov]
     )
@@ -530,6 +537,17 @@ def recover_parameters(
             real, markov, magnitudes
         )
     return result
+
+
+def _realized_markov(real: ERARealization, count: int) -> list[float]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        markov = ssm.markov(real.a_cont, real.b_hat, real.c_hat, count)
+    if not all(map(math.isfinite, markov)):
+        raise NumericFailure(
+            "realized Markov parameters are not finite; the record's values "
+            "are out of working range"
+        )
+    return markov
 
 
 def _cube_denominator_route(real, markov, magnitudes) -> dict:

@@ -44,7 +44,12 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
 
 def matvec(a: Mat, v: list[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
+    """a @ v, multiplying only where both factors are nonzero (the ladder A
+    is tridiagonal)."""
+    return [
+        sum((aij * vj for aij, vj in zip(row, v) if aij and vj), Fraction(0))
+        for row in a
+    ]
 
 
 def transpose(m: Mat) -> Mat:
@@ -115,8 +120,11 @@ def inverse(m: Mat) -> Mat:
 
 def solve(m: Mat, b: list[Fraction]) -> list[Fraction]:
     """Unique solution of m x = b (square nonsingular m)."""
-    inv = inverse(m)
-    return matvec(inv, b)
+    n = len(m)
+    red, pivots = _row_echelon([row + [bv] for row, bv in zip(m, b)])
+    if pivots[:n] != list(range(n)):
+        raise AtypicalParameters("matrix is singular at this binding")
+    return [row[n] for row in red]
 
 
 def nullspace(m: Mat) -> list[list[Fraction]]:

@@ -20,34 +20,20 @@ def spawn_rng(seed: int, *labels: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def random_binding(
-    param_ids,
-    rng: np.random.Generator,
-    low: float = 0.25,
-    high: float = 2.0,
-    signed: bool = True,
-) -> dict[str, float]:
-    """Magnitudes uniform in [low, high], random signs; never zero."""
+def random_binding(param_ids, rng: np.random.Generator) -> dict[str, float]:
+    """Magnitudes uniform in [1/4, 2], random signs; never zero."""
     out = {}
     for pid in param_ids:
-        mag = float(rng.uniform(low, high))
-        sign = int(rng.integers(0, 2)) * 2 - 1 if signed else 1
-        out[pid] = sign * mag
+        mag = float(rng.uniform(0.25, 2.0))
+        out[pid] = (int(rng.integers(0, 2)) * 2 - 1) * mag
     return out
 
 
-def rational_binding(
-    param_ids,
-    rng: np.random.Generator,
-    denominator: int = 16,
-    signed: bool = True,
-) -> dict[str, Fraction]:
-    """Exact-rational bindings with magnitudes in [1/4, 2]."""
+def rational_binding(param_ids, rng: np.random.Generator) -> dict[str, Fraction]:
+    """Exact-rational bindings: magnitudes in [1/4, 2] on denominator 16,
+    random signs."""
     out = {}
-    lo = denominator // 4
-    hi = 2 * denominator
     for pid in param_ids:
-        num = int(rng.integers(lo, hi + 1))
-        sign = int(rng.integers(0, 2)) * 2 - 1 if signed else 1
-        out[pid] = Fraction(sign * num, denominator)
+        num = int(rng.integers(4, 33))
+        out[pid] = Fraction((int(rng.integers(0, 2)) * 2 - 1) * num, 16)
     return out

@@ -21,6 +21,15 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- analyze -----------------------------------------------------------------
 
 
@@ -153,7 +162,7 @@ def test_simulate_writes_matching_record(tmp_path, capsys):
         capsys)
     assert code == 0
     assert "wrote 40 samples" in out
-    rec = estimate.load_record(str(path))
+    rec = estimate.record_from_text(path.read_text())
     cfg = SensorConfig(2, 2, "YaZb", "xb")
     model = ssm.build(cfg)
     expect = ssm.impulse_response(
@@ -178,7 +187,7 @@ def test_simulate_single_qubit_zeros_with_warning(tmp_path, capsys):
          "--count", "20", "--record", str(path)], capsys)
     assert code == 0
     assert "warning" in out
-    rec = estimate.load_record(str(path))
+    rec = estimate.record_from_text(path.read_text())
     assert np.all(rec.values == 0.0)
 
 
@@ -212,6 +221,20 @@ def test_simulate_rejects_non_positive_dt(tmp_path, capsys, dt):
         capsys)
     assert code == 2
     assert "finite and positive" in err
+    assert not rec_path.exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--noise-sigma", "nan"], "noise_sigma nan"),
+    (["--noise-sigma", "inf"], "noise_sigma inf"),
+    (["--set", "h1=inf"], "coupling h1"),
+], ids=["sigma-nan", "sigma-inf", "coupling-inf"])
+def test_simulate_rejects_non_finite_inputs(tmp_path, capsys, flags, named):
+    rec_path = tmp_path / "rec.csv"
+    code, _, err = run_cli(
+        ["simulate", *CUBE_FLAGS, *flags, "--record", str(rec_path)], capsys)
+    assert code == 2
+    assert named in err and "finite" in err
     assert not rec_path.exists()
 
 
@@ -272,9 +295,9 @@ def test_estimate_corrupted_csv_names_row(tmp_path, capsys):
     assert "line 3" in err
 
 
-def _simulated_rows(tmp_path, capsys):
+def _simulated_rows(tmp_path, capsys, flags=CUBE_FLAGS):
     rec_path = tmp_path / "rec.csv"
-    run_cli(["simulate", *CUBE_FLAGS, "--count", "40", "--record",
+    run_cli(["simulate", *flags, "--count", "40", "--record",
              str(rec_path)], capsys)
     lines = rec_path.read_text().splitlines()
     return rec_path, lines[0], [line.split(",") for line in lines[1:]]
@@ -317,6 +340,69 @@ def test_estimate_out_of_range_record_is_numeric_failure(tmp_path, capsys):
         ["estimate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
     assert code == 4
     assert "numeric failure" in err
+
+
+LADDER2_FLAGS = ["--measurement", "ZaYb", "--n-chain", "2",
+                 "--set", "ha=1.0", "--set", "hb=0.8", "--set", "h1=0.6"]
+CUBE1_FLAGS = ["--measurement", "YaZb", "--n-chain", "1",
+               "--set", "ha=1.0", "--set", "hb=0.8"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:The logm input matrix is exactly singular")
+@pytest.mark.parametrize("flags,row,value,reason", [
+    (CUBE1_FLAGS, 20, "1e100", "matrix logarithm failed"),
+    (LADDER2_FLAGS, 4, "1e100", "singular"),
+    (LADDER2_FLAGS, 2, "1e308", "singular"),  # logm would not return
+], ids=["logm-error", "singular", "singular-stall"])
+def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
+                                                    row, value, reason):
+    rec_path, header, body = _simulated_rows(tmp_path, capsys, flags)
+    body[row][1] = value
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, _, err = run_cli(
+        ["estimate", *flags, "--record", str(rec_path)], capsys)
+    assert code == 4
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_estimate_markov_overflow_is_numeric_failure(tmp_path, capsys):
+    # a sampling interval of 1e-200 scales the realized generator by 1e200
+    rec_path, header, body = _simulated_rows(tmp_path, capsys, CUBE1_FLAGS)
+    for k, row in enumerate(body):
+        row[0] = repr(k * 1e-200)
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, _, err = run_cli(
+        ["estimate", *CUBE1_FLAGS, "--record", str(rec_path)], capsys)
+    assert code == 4
+    assert "Markov parameters are not finite" in err
+
+
+@pytest.mark.parametrize("name,data,reason", [
+    ("missing.csv", None, "not found"),
+    ("", None, ""),  # the directory itself
+    ("latin1.csv", b"t,y,sigma,seed,scheme\n0.0,\xb5,0.0,0,ZaYb@2q\n",
+     "not UTF-8"),
+    ("empty.csv", b"", "header"),
+], ids=["missing", "directory", "non-utf8", "empty"])
+def test_estimate_unreadable_record_exits_2(tmp_path, capsys, name, data,
+                                            reason):
+    path = tmp_path / name if data is None else write_bytes(
+        tmp_path / name, data)
+    code, _, err = run_cli(
+        ["estimate", *CUBE_FLAGS, "--record", str(path)], capsys)
+    assert code == 2
+    assert one_line_error(err) and reason in err
+
+
+@pytest.mark.parametrize("verb,flag", [("analyze", "--report"),
+                                       ("simulate", "--record")])
+def test_output_into_missing_directory_exits_2(tmp_path, capsys, verb, flag):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run_cli([verb, *CUBE_FLAGS, flag, str(target)], capsys)
+    assert code == 2
+    assert one_line_error(err) and "cannot write" in err
 
 
 def test_estimate_missing_record_flag(capsys):
@@ -404,6 +490,22 @@ def test_report_verb_rejects_garbage(tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("data,reason", [
+    (None, ""),  # a directory
+    (b'{"command": "\xff"}', "not UTF-8"),
+    (b"[1, 2]", "not a chainsense report"),
+    (b'"x"', "not a chainsense report"),
+    (b"NaN", "not a chainsense report"),
+    (b'{"verdicts": 5}', "not a chainsense report"),
+], ids=["directory", "non-utf8", "list", "string", "nan", "bad-section"])
+def test_report_verb_rejects_unreadable_or_non_report(tmp_path, capsys, data,
+                                                      reason):
+    path = tmp_path if data is None else write_bytes(tmp_path / "r.json", data)
+    code, _, err = run_cli(["report", str(path)], capsys)
+    assert code == 2
+    assert one_line_error(err) and reason in err
+
+
 def test_config_file_drives_run(tmp_path, capsys):
     rec_path = tmp_path / "rec.csv"
     cfg_path = tmp_path / "run.cfg"
@@ -443,7 +545,7 @@ def test_config_file_flag_overrides(tmp_path, capsys):
          "--set", "ha=1.0", "--set", "hb=0.7", "--count", "24",
          "--record", str(rec_path)], capsys)
     assert code == 0
-    rec = estimate.load_record(str(rec_path))
+    rec = estimate.record_from_text(rec_path.read_text())
     assert rec.scheme_tag == "YaZb@2q"
     assert rec.count == 24
 
@@ -463,6 +565,67 @@ def test_config_file_known_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(["analyze", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert "'known'" in err
+
+
+@pytest.mark.parametrize("data,named", [
+    (b"[scheme]\nn_chain = abc\n", "[scheme] n_chain"),
+    (b"[truth]\nha = x\n", "[truth] ha"),
+    (b"n_chain = 2\n", "no section headers"),
+    (b"[scheme]\nn_chain\n", "'n_chain"),
+    (b"[scheme]\nn_chain = 2\nn_chain = 3\n", "'n_chain' in section 'scheme'"),
+    (b"[scheme]\nmeasurement = \xff\n", "not UTF-8"),
+], ids=["bad-int", "bad-float", "no-section", "no-value", "duplicate-key",
+        "non-utf8"])
+def test_config_file_malformed_exits_2(tmp_path, capsys, data, named):
+    cfg_path = write_bytes(tmp_path / "run.cfg", data)
+    code, _, err = run_cli(["analyze", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert one_line_error(err) and named in err
+
+
+def test_config_file_percent_is_literal(tmp_path, capsys):
+    report_path = tmp_path / "r%(x)s.json"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"[scheme]\nn_chain = 1\n[output]\nreport = {report_path}\n")
+    code, _, _ = run_cli(["analyze", "--config", str(cfg_path)], capsys)
+    assert code == 0
+    assert json.loads(report_path.read_text())["command"] == "analyze"
+
+
+# flag, config section, config key, RunConfig field, value
+SETTINGS = [
+    ("--n-chain", "scheme", "n_chain", "n_chain", "3"),
+    ("--sensor-qubits", "scheme", "sensor_qubits", "sensor_qubits", "1"),
+    ("--measurement", "scheme", "measurement", "measurement", "Yb"),
+    ("--initial", "scheme", "initial", "initial", "xb"),
+    ("--dt", "sampling", "dt", "dt", "0.125"),
+    ("--count", "sampling", "count", "count", "77"),
+    ("--noise-sigma", "sampling", "noise_sigma", "noise_sigma", "0.5"),
+    ("--seed", "sampling", "seed", "seed", "9"),
+    ("--record", "output", "record", "record_path", "a.csv"),
+    ("--report", "output", "report", "report_path", "a.json"),
+]
+
+
+@pytest.mark.parametrize("flag,section,key,attr,value", SETTINGS,
+                         ids=[row[0] for row in SETTINGS])
+def test_each_setting_reads_from_file_and_flag(tmp_path, flag, section, key,
+                                               attr, value):
+    parser = cli.build_parser()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+
+    def setting(*argv):
+        args = parser.parse_args(["analyze", *argv])
+        return getattr(cli.build_run_config(args), attr)
+
+    from_file = setting("--config", str(cfg_path))
+    assert from_file != getattr(cli.RunConfig(), attr)
+    assert setting(flag, value) == from_file
+    assert str(from_file) == value or float(value) == from_file
+    # a flag beats the file
+    assert setting("--config", str(cfg_path), flag, "7") != from_file
 
 
 def test_config_file_missing(capsys):

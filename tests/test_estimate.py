@@ -180,8 +180,10 @@ def test_record_csv_file_roundtrip(tmp_path):
     binding = {"ha": -0.9, "hb": 1.3, "h1": 0.4}
     rec = make_record(cfg, binding, 20)
     path = tmp_path / "record.csv"
-    estimate.save_record(rec, str(path))
-    back = estimate.load_record(str(path))
+    with open(path, "w", newline="") as fh:
+        estimate.save_record(rec, fh)
+    with open(path, newline="") as fh:
+        back = estimate.load_record(fh)
     assert np.array_equal(back.values, rec.values)
 
 
