@@ -28,7 +28,6 @@ from .pauli import (
     PauliString,
     chain_hamiltonian,
     expectation,
-    format_string,
     from_letters,
     heisenberg_derivative,
     initial_state,
@@ -120,20 +119,33 @@ class SensorConfig:
 # -- closure ----------------------------------------------------------------
 
 
-def closure(ham: HamiltonianSpec, seed: PauliString) -> dict[tuple[int, int], int]:
-    """Breadth-first commutator closure; returns {string key: depth}."""
+#: one term of i[H, o]: (param_id, coefficient, phase-0 string)
+Term = tuple[str, Fraction, PauliString]
+
+
+def closure(
+    ham: HamiltonianSpec, seed: PauliString
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], list[Term]]]:
+    """Breadth-first commutator closure.
+
+    Returns ({string key: depth}, {string key: derivative terms}).  Each
+    element's i[H, .] is expanded exactly once, and every string it produces
+    joins the set, so the second table covers the set and stays inside it.
+    """
     start = seed.positive()
     depths = {start.key(): 0}
+    derivatives: dict[tuple[int, int], list[Term]] = {}
     frontier = [start]
     while frontier:
         nxt = []
         for op in frontier:
-            for _pid, _coeff, out in heisenberg_derivative(ham, op):
+            terms = derivatives[op.key()] = heisenberg_derivative(ham, op)
+            for _pid, _coeff, out in terms:
                 if out.key() not in depths:
                     depths[out.key()] = depths[op.key()] + 1
                     nxt.append(out)
         frontier = nxt
-    return depths
+    return depths, derivatives
 
 
 def ladder_size(n_chain: int) -> int:
@@ -201,13 +213,14 @@ def single_yb_basis(n_chain: int) -> list[tuple[int, PauliString]]:
 
 @dataclass
 class AccessibleSet:
-    """Ordered, signed operator basis generated by a measurement."""
+    """Ordered, signed operator basis generated by a measurement, with the
+    derivative terms of each element keyed by its string."""
 
     scheme_tag: str
     n_chain: int
     sensor_qubits: int
     basis: tuple[tuple[int, PauliString], ...]
-    depths: dict[tuple[int, int], int] = field(default_factory=dict)
+    derivatives: dict[tuple[int, int], list[Term]]
     _index: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -234,12 +247,10 @@ def generate(config: SensorConfig) -> AccessibleSet:
     """Accessible set of a catalog scheme in its canonical order.
 
     The constructive orders are cross-checked against the breadth-first
-    closure: same elements, no more, no fewer.  Closure under the
-    derivative is asserted for every element.
+    closure: same elements, no more, no fewer.  Since the closure adds every
+    derivative output, that check also proves the set closed.
     """
-    ham = config.hamiltonian()
-    m = config.measurement_string()
-    depths = closure(ham, m)
+    depths, derivatives = closure(config.hamiltonian(), config.measurement_string())
     cls = config.capability
     n = config.n_qubits
 
@@ -264,63 +275,16 @@ def generate(config: SensorConfig) -> AccessibleSet:
         n_chain=config.n_chain,
         sensor_qubits=config.sensor_qubits,
         basis=tuple(basis),
-        depths=depths,
+        derivatives=derivatives,
     )
     if {s.key() for _sg, s in basis} != set(depths):
         raise InadmissibleConfig(
             f"constructive order for {config.scheme_tag} disagrees with the "
             "commutator closure"
         )
-    verify_closed(aset, ham)
     return aset
-
-
-def verify_closed(aset: AccessibleSet, ham: HamiltonianSpec) -> None:
-    """Assert every derivative stays inside the set."""
-    for _sign, op in aset.basis:
-        for _pid, _coeff, out in heisenberg_derivative(ham, op):
-            if out not in aset:
-                raise InadmissibleConfig(
-                    f"set not closed: d({format_string(op)}) produced "
-                    f"{format_string(out)}"
-                )
 
 
 def orthogonality_check(aset: AccessibleSet, state: InitialState) -> bool:
     """True when every basis element has exactly zero expectation."""
     return all(v == 0 for v in aset.signed_expectations(state))
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def dump_text(aset: AccessibleSet) -> str:
-    """Line-oriented text form; first line is the header."""
-    lines = [
-        f"scheme={aset.scheme_tag} n_chain={aset.n_chain} "
-        f"sensor_qubits={aset.sensor_qubits}"
-    ]
-    for sign, s in aset.basis:
-        mark = "+" if sign > 0 else "-"
-        lines.append(f"{mark} {format_string(s, aset.sensor_qubits)}")
-    return "\n".join(lines) + "\n"
-
-
-def load_text(text: str) -> AccessibleSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = dict(kv.split("=") for kv in lines[0].split())
-    n_chain = int(header["n_chain"])
-    sensor = int(header["sensor_qubits"])
-    n = n_chain + sensor
-    basis = []
-    for ln in lines[1:]:
-        mark, body = ln.split(" ", 1)
-        if mark not in "+-":
-            raise InadmissibleConfig(f"bad sign mark {mark!r}")
-        basis.append((1 if mark == "+" else -1, parse_string(body, n, sensor)))
-    return AccessibleSet(
-        scheme_tag=header["scheme"],
-        n_chain=n_chain,
-        sensor_qubits=sensor,
-        basis=tuple(basis),
-    )

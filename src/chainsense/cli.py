@@ -379,13 +379,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     config = run.sensor_config()
     model = ssm.build(config)
-    missing = sorted(set(model.param_ids) - set(run.h_values))
-    extra = sorted(set(run.h_values) - set(model.param_ids))
-    if missing or extra:
-        raise InadmissibleConfig(
-            f"ground truth must bind exactly {', '.join(model.param_ids)}; "
-            f"missing {missing or 'none'}, unexpected {extra or 'none'}"
-        )
+    ssm.check_binding(model, run.h_values)
     dt = run.dt if run.dt is not None else auto_dt(model, run.h_values)
     record = estimate.simulate_record(
         model, run.h_values, dt, run.count,
@@ -466,6 +460,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     rng = spawn_rng(run.seed, "oracle-check", config.scheme_tag,
                     str(run.n_chain))
     if run.h_values:
+        ssm.check_binding(model, run.h_values)
         binding = dict(run.h_values)
     else:
         binding = {
@@ -524,24 +519,30 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    text = _read_text(args.path, "report file")
     try:
-        payload = json.loads(_read_text(args.path, "report file"))
+        payload = json.loads(text)
+        if not isinstance(payload, dict) or not all(
+            isinstance(payload.get(key, {}), dict) for key in _SECTIONS
+        ):
+            raise InadmissibleConfig(
+                f"report file {args.path!r} is not a chainsense report object"
+            )
+        report = Report(
+            command=payload.get("command", "?"),
+            seed=payload.get("seed", 0),
+            **{key: payload.get(key, {}) for key in _SECTIONS},
+        )
+        rendered = report.human_text()
     except json.JSONDecodeError as err:
         raise InadmissibleConfig(
             f"report file {args.path!r} is not valid JSON: {err}"
         ) from None
-    if not isinstance(payload, dict) or not all(
-        isinstance(payload.get(key, {}), dict) for key in _SECTIONS
-    ):
+    except RecursionError:  # from json.loads or from _show
         raise InadmissibleConfig(
-            f"report file {args.path!r} is not a chainsense report object"
-        )
-    report = Report(
-        command=payload.get("command", "?"),
-        seed=payload.get("seed", 0),
-        **{key: payload.get(key, {}) for key in _SECTIONS},
-    )
-    sys.stdout.write(report.human_text())
+            f"report file {args.path!r} is nested too deeply to read"
+        ) from None
+    sys.stdout.write(rendered)
     return 0
 
 

@@ -124,9 +124,7 @@ def simulate_record(
     """
     if count < 2:
         raise InadmissibleConfig("a record needs at least two samples")
-    for name, value in binding.items():
-        if not math.isfinite(value):
-            raise InadmissibleConfig(f"coupling {name} = {value} is not finite")
+    ssm.check_binding(model, binding)
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InadmissibleConfig(
             f"noise_sigma {noise_sigma} must be finite and nonnegative"
@@ -258,12 +256,18 @@ class ERARealization:
     diagnostics: dict = field(default_factory=dict)
 
 
-def era(record: MeasurementRecord, expected_order: int | None = None) -> ERARealization:
+def era(
+    record: MeasurementRecord,
+    expected_order: int | None = None,
+    max_order: int | None = None,
+) -> ERARealization:
     """Hankel-SVD realization of the record's sample sequence.
 
     The samples of a continuous impulse response are the Markov sequence
     of the discrete pair (e^{A dt}, B, C), so the realized a_hat estimates
-    e^{A dt} and the principal logarithm recovers A.
+    e^{A dt} and the principal logarithm recovers A.  A selected order
+    above ``max_order`` (the model dimension) cannot come from the model
+    and is refused before any realization is formed.
     """
     values = np.asarray(record.values, dtype=float)
     trimmed = 0
@@ -301,6 +305,11 @@ def era(record: MeasurementRecord, expected_order: int | None = None) -> ERAReal
             dt=record.dt, verdict=verdict, diagnostics=diagnostics,
         )
 
+    if max_order is not None and order > max_order:
+        raise NumericFailure(
+            f"realized order {order} exceeds the model dimension {max_order}; "
+            "the record does not fit this scheme"
+        )
     un = u[:, :order]
     vn = vt[:order, :].T
     root = np.sqrt(sing[:order])
@@ -481,7 +490,7 @@ def recover_parameters(
     n = config.n_chain
     if capability == "ladder":
         expected = n + 2 if n % 2 == 0 else n + 1
-        real = era(record, expected_order=expected)
+        real = era(record, expected_order=expected, max_order=n + 2)
         if real.verdict != "ok":
             raise NumericFailure(
                 "model order ambiguous: no singular-value gap cleared the "
@@ -506,7 +515,8 @@ def recover_parameters(
             f"cube scheme recovery is established for chains of one or two "
             f"spins; N={n} is undecided here"
         )
-    real = era(record, expected_order=2 * n + 2)
+    model = ssm.build(config)
+    real = era(record, expected_order=2 * n + 2, max_order=model.dim)
     if real.verdict != "ok":
         raise NumericFailure(
             "model order ambiguous: no singular-value gap cleared the "
@@ -514,7 +524,7 @@ def recover_parameters(
         )
     markov = _realized_markov(real, 2 * n + 2)
     solved, magnitudes = cube_elimination(
-        ssm.build(config), [Fraction(float(v)) for v in markov]
+        model, [Fraction(float(v)) for v in markov]
     )
     if magnitudes is None:
         raise NumericFailure(

@@ -92,10 +92,6 @@ class PauliString:
         """The sign-stripped (phase 0) copy of this string."""
         return PauliString(self.n_qubits, self.x_mask, self.z_mask, 0)
 
-    def canon_hermitian(self) -> tuple[int, "PauliString"]:
-        """Split a hermitian string into (sign, phase-0 string)."""
-        return self.hermitian_sign(), self.positive()
-
     def key(self) -> tuple[int, int]:
         """Hashable identity ignoring phase (for set membership)."""
         return (self.x_mask, self.z_mask)
@@ -226,8 +222,7 @@ class HamiltonianSpec:
     """Exchange-coupling Hamiltonian as a parametrised Pauli-term list.
 
     Each term is (param_id, prefactor, string); the operator is
-    sum_k binding[param_id_k] * prefactor_k * string_k.  ``known`` marks
-    parameters the experimenter controls (the sensor's internal coupling).
+    sum_k binding[param_id_k] * prefactor_k * string_k.
     """
 
     n_qubits: int
@@ -235,11 +230,6 @@ class HamiltonianSpec:
     n_chain: int
     terms: tuple[tuple[str, Fraction, PauliString], ...]
     param_ids: tuple[str, ...]
-    known: frozenset[str]
-
-    def coupling_sequence(self) -> tuple[str, ...]:
-        """Parameter ids in chain order (the ladder superdiagonal order)."""
-        return self.param_ids
 
 
 def _exchange_term(n: int, i: int, j: int) -> tuple[PauliString, PauliString]:
@@ -280,14 +270,12 @@ def chain_hamiltonian(n_chain: int, sensor_qubits: int = 2) -> HamiltonianSpec:
         pid = f"h{k}"
         terms += [(pid, half, xx), (pid, half, yy)]
         params.append(pid)
-    known = frozenset({"ha"}) if sensor_qubits == 2 else frozenset()
     return HamiltonianSpec(
         n_qubits=n,
         sensor_qubits=sensor_qubits,
         n_chain=n_chain,
         terms=tuple(terms),
         param_ids=tuple(params),
-        known=known,
     )
 
 

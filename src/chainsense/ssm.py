@@ -14,6 +14,7 @@ A_ij = -A_ji entry for entry.  ``build`` asserts this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import exact
 from .accessible import AccessibleSet, SensorConfig, generate
 from .errors import InadmissibleConfig, NumericFailure
-from .pauli import HamiltonianSpec, heisenberg_derivative
+from .pauli import HamiltonianSpec
 
 Binding = dict[str, float]
 
@@ -55,19 +56,37 @@ class StateSpaceModel:
         return {(e.row, e.col): (e.param_id, e.sign) for e in self.a_entries}
 
 
+def check_binding(model: StateSpaceModel, binding: Binding) -> None:
+    """Refuse a binding that does not give every coupling of the model, and
+    nothing else, a finite value."""
+    missing = sorted(set(model.param_ids) - set(binding))
+    extra = sorted(set(binding) - set(model.param_ids))
+    if missing or extra:
+        raise InadmissibleConfig(
+            f"couplings must bind exactly {', '.join(model.param_ids)}; "
+            f"missing {missing or 'none'}, unexpected {extra or 'none'}"
+        )
+    for name, value in binding.items():
+        if not math.isfinite(value):
+            raise InadmissibleConfig(f"coupling {name} = {value} is not finite")
+
+
 def is_atypical(binding: Binding) -> bool:
     """True if any coupling is bound to zero (excluded, measure-zero case)."""
     return any(v == 0 for v in binding.values())
 
 
 def build(config: SensorConfig) -> StateSpaceModel:
-    """Construct the state-space model for a catalog scheme."""
+    """Construct the state-space model for a catalog scheme.
+
+    A is read from the derivative table the closure recorded, so no
+    commutator is taken twice.
+    """
     aset = generate(config)
-    ham = config.hamiltonian()
     dim = len(aset)
     entries: dict[tuple[int, int], AEntry] = {}
     for i, (sign_i, op) in enumerate(aset.basis):
-        for pid, coeff, out in heisenberg_derivative(ham, op):
+        for pid, coeff, out in aset.derivatives[op.key()]:
             j = aset.position(out)
             sign_j = aset.basis[j][0]
             total = sign_i * sign_j * coeff
@@ -91,7 +110,7 @@ def build(config: SensorConfig) -> StateSpaceModel:
     return StateSpaceModel(
         config=config,
         aset=aset,
-        ham=ham,
+        ham=config.hamiltonian(),
         dim=dim,
         a_entries=tuple(entries[k] for k in order),
         b=b,
@@ -205,48 +224,3 @@ def markov(a, b, c, count: int):
     if isinstance(a, np.ndarray):
         return np.array([float(c @ v) for v in vectors])
     return [exact.matvec([c], v)[0] for v in vectors]
-
-
-# -- text form --------------------------------------------------------------
-
-
-def dump_text(model: StateSpaceModel) -> str:
-    cfg = model.config
-    lines = [
-        f"model scheme={cfg.scheme_tag} n_chain={cfg.n_chain} "
-        f"initial={cfg.initial_label} dim={model.dim}",
-        "params " + " ".join(model.param_ids),
-    ]
-    for e in model.a_entries:
-        sign = "+" if e.sign > 0 else "-"
-        lines.append(f"A {e.row} {e.col} {sign}{e.param_id}")
-    for i, v in enumerate(model.b):
-        if v:
-            lines.append(f"B {i} {v}")
-    for i, v in enumerate(model.c):
-        if v:
-            lines.append(f"C {i} {v}")
-    return "\n".join(lines) + "\n"
-
-
-def load_text(text: str) -> StateSpaceModel:
-    """Rebuild from the dump; the scheme is reconstructed and must agree."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = dict(kv.split("=") for kv in lines[0].split()[1:])
-    tag = header["scheme"]
-    label, sensor = tag.rsplit("@", 1)
-    cfg = SensorConfig(
-        int(header["n_chain"]), int(sensor.rstrip("q")), label, header["initial"]
-    )
-    model = build(cfg)
-    entry_map = model.entry_map()
-    dumped = {}
-    for ln in lines[2:]:
-        parts = ln.split()
-        if parts[0] == "A":
-            i, j = int(parts[1]), int(parts[2])
-            sign = 1 if parts[3][0] == "+" else -1
-            dumped[(i, j)] = (parts[3][1:], sign)
-    if dumped != entry_map:
-        raise InadmissibleConfig("dumped A entries disagree with reconstruction")
-    return model

@@ -76,9 +76,6 @@ class GroebnerBasis:
     ring: PolyRing
     pair_count: int
 
-    def reduce(self, f: MPoly) -> MPoly:
-        return reduce_poly(f, self.generators)
-
 
 def buchberger(gens: list[MPoly], pair_budget: int = PAIR_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``."""

@@ -176,16 +176,6 @@ class MPoly:
             return MPoly.zero(self.ring)
         return MPoly(self.ring, {e: c * c0 for e, c in self.terms.items()})
 
-    def shift(self, var_name: str, power: int = 1) -> "MPoly":
-        """Multiply by a single variable power (cheap monomial shift)."""
-        idx = self.ring.var_index(var_name)
-        out = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            le[idx] += power
-            out[tuple(le)] = c
-        return MPoly(self.ring, out)
-
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise DimensionMismatch("negative power")
@@ -379,7 +369,6 @@ def render(p: MPoly) -> str:
     return " ".join(chunks)
 
 
-_TERM_SPLIT = re.compile(r"(?<=[^\s+-])\s*([+-])\s*")
 _FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 
 

@@ -97,12 +97,6 @@ class RationalTransfer:
         den = [p.evaluate(point) for p in self.den_coeffs]
         return num, den
 
-    def response(self, binding: dict, s: complex) -> complex:
-        num, den = self.evaluate(binding)
-        nv = sum(complex(c) * s ** (len(num) - 1 - i) for i, c in enumerate(num))
-        dv = sum(complex(c) * s ** (len(den) - 1 - i) for i, c in enumerate(den))
-        return nv / dv
-
 
 def symbolic_transfer(
     model: StateSpaceModel, dim_cap: int = TRANSFER_DIM_CAP

@@ -9,12 +9,10 @@ from chainsense.accessible import (
     SensorConfig,
     capability_class,
     closure,
-    dump_text,
     g3_size,
     generate,
     ladder_basis,
     ladder_size,
-    load_text,
     orthogonality_check,
 )
 from chainsense.errors import InadmissibleConfig
@@ -94,7 +92,7 @@ def test_order_stability():
 
 def test_closure_depths_start_at_measurement():
     cfg = SensorConfig(2, 2, "ZaYb", "xa")
-    depths = closure(cfg.hamiltonian(), cfg.measurement_string())
+    depths, _ = closure(cfg.hamiltonian(), cfg.measurement_string())
     assert depths[cfg.measurement_string().key()] == 0
 
 
@@ -142,22 +140,8 @@ def test_admissibility():
     SensorConfig(2, 2, "YaYb", "xaxb")  # admissible though incapable
 
 
-def test_serialization_round_trip():
-    for cfg in (
-        SensorConfig(3, 2, "ZaYb", "xa"),
-        SensorConfig(2, 2, "YaZb", "xb"),
-        SensorConfig(2, 1, "Zb", "xb"),
-    ):
-        aset = generate(cfg)
-        text = dump_text(aset)
-        back = load_text(text)
-        assert back.basis == aset.basis
-        assert back.scheme_tag == aset.scheme_tag
-        assert dump_text(back) == text
-
-
 def test_ladder_basis_matches_closure_set():
     cfg = SensorConfig(5, 2, "ZaYb", "xa")
-    depths = closure(cfg.hamiltonian(), cfg.measurement_string())
+    depths, _ = closure(cfg.hamiltonian(), cfg.measurement_string())
     keys = {s.key() for _sg, s in ladder_basis(5)}
     assert keys == set(depths)

@@ -1,11 +1,14 @@
 """CLI contract tests: verbs, exit codes, determinism, report agreement."""
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -351,8 +354,11 @@ CUBE1_FLAGS = ["--measurement", "YaZb", "--n-chain", "1",
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:The logm input matrix is exactly singular")
 @pytest.mark.parametrize("flags,row,value,reason", [
-    (CUBE1_FLAGS, 20, "1e100", "matrix logarithm failed"),
-    (LADDER2_FLAGS, 4, "1e100", "singular"),
+    # N = 2: on the N = 1 cube this record realizes order 19 > dim 9, which
+    # is refused before logm runs
+    (CUBE_FLAGS, 20, "1e100", "matrix logarithm failed"),
+    # row 3: row 4 realizes order 5 > dim 4, which is refused first
+    (LADDER2_FLAGS, 3, "1e100", "singular"),
     (LADDER2_FLAGS, 2, "1e308", "singular"),  # logm would not return
 ], ids=["logm-error", "singular", "singular-stall"])
 def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
@@ -365,6 +371,25 @@ def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
     assert code == 4
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert reason in err
+
+
+@pytest.mark.parametrize("flags,value,dim", [
+    (CUBE1_FLAGS, "1e3", 9), (LADDER2_FLAGS, "1", 4),
+], ids=["cube", "ladder"])
+def test_estimate_refuses_order_above_model_dimension(tmp_path, capsys, flags,
+                                                      value, dim):
+    # one bad sample in a noiseless record realizes order 18, more than the
+    # model has states; recovering from that realization gives wrong values
+    rec_path, header, body = _simulated_rows(tmp_path, capsys, flags)
+    body[25][1] = value
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before logm can warn
+        code, out, err = run_cli(
+            ["estimate", *flags, "--record", str(rec_path)], capsys)
+    assert code == 4 and out == ""
+    assert err == (f"numeric failure: realized order 18 exceeds the model "
+                   f"dimension {dim}; the record does not fit this scheme\n")
 
 
 def test_estimate_markov_overflow_is_numeric_failure(tmp_path, capsys):
@@ -433,6 +458,19 @@ def test_oracle_check_size_cap(capsys):
         ["oracle-check", "--measurement", "ZaYb", "--n-chain", "13"], capsys)
     assert code == 2
     assert "qubit" in err.lower()
+
+
+@pytest.mark.parametrize("sets,named", [
+    (["ha=1", "hb=0.8", "h1=inf"], "coupling h1 = inf is not finite"),
+    (["ha=1"], "missing ['h1', 'hb']"),
+    (["ha=1", "hb=0.8", "h1=0.6", "zz=3"], "unexpected ['zz']"),
+], ids=["non-finite", "missing", "extra"])
+def test_oracle_check_rejects_bad_couplings(capsys, sets, named):
+    argv = ["oracle-check", "--measurement", "ZaYb", "--n-chain", "2"]
+    code, out, err = run_cli(
+        argv + [arg for item in sets for arg in ("--set", item)], capsys)
+    assert code == 2 and out == ""
+    assert one_line_error(err) and named in err
 
 
 # -- reports and config files ------------------------------------------------
@@ -504,6 +542,18 @@ def test_report_verb_rejects_unreadable_or_non_report(tmp_path, capsys, data,
     code, _, err = run_cli(["report", str(path)], capsys)
     assert code == 2
     assert one_line_error(err) and reason in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"verdicts": {"a": ' + "[" * 900 + "]" * 900 + "}}",
+], ids=["parse", "render"])
+def test_report_verb_rejects_deep_nesting(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(["report", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "nested too deeply" in err
 
 
 def test_config_file_drives_run(tmp_path, capsys):
@@ -666,6 +716,26 @@ def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
         got = builds(["oracle-check", *flags])
         assert len(got) == 5
         assert len(set(got[1:])) == 4
+
+
+def test_benchmark_designated_functions_exist():
+    # perfbench/run.py fails a traced run when one of these is never called;
+    # read its table without importing the harness
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    tree = ast.parse(source.read_text())
+    designated = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "DESIGNATED" for t in node.targets)
+    )
+    assert designated
+    for dotted in designated:
+        layer, name = dotted.split(".")
+        module = importlib.import_module(f"chainsense.{layer}")
+        func = getattr(module, name, None)
+        assert inspect.isfunction(func), dotted
+        assert not name.startswith("_") and func.__qualname__ == name, dotted
+        assert func.__module__.split(".")[:2] == ["chainsense", layer], dotted
 
 
 # -- module entry point --------------------------------------------------------

@@ -161,12 +161,10 @@ def test_chain_hamiltonian_layout():
     h = chain_hamiltonian(3, sensor_qubits=2)
     assert h.n_qubits == 5
     assert h.param_ids == ("ha", "hb", "h1", "h2")
-    assert h.known == frozenset({"ha"})
     assert len(h.terms) == 8
     h1 = chain_hamiltonian(2, sensor_qubits=1)
     assert h1.n_qubits == 3
     assert h1.param_ids == ("hb", "h1")
-    assert h1.known == frozenset()
 
 
 def test_derivative_of_outer_sensor_x():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chainsense import exact, realization, ssm
-from chainsense.accessible import SensorConfig
+from chainsense.accessible import CATALOG, SensorConfig, generate
 from chainsense.errors import AtypicalParameters, DimensionMismatch
 from chainsense.prng import random_binding, rational_binding, spawn_rng
 
@@ -93,11 +93,38 @@ def test_observability_rank_parity_on_long_ladders(n_chain):
 def test_cube_krylov_ranks_match_exact_rank(n_chain):
     model = cube(n_chain)
     binding = rational_binding(model.param_ids, spawn_rng(3, "rk", str(n_chain)))
+    _assert_arnoldi_ranks_are_exact(model, binding)
+
+
+def _assert_arnoldi_ranks_are_exact(model, binding):
     a, b, c = ssm.evaluate_exact(model, binding)
     _, obs = realization.observability_rank(model, binding)
     _, ctrl = realization.controllability_rank(model, binding)
     assert obs == exact.rank(ssm.krylov(exact.transpose(a), c, model.dim))
     assert ctrl == exact.rank(ssm.krylov(a, b, model.dim))
+
+
+def _catalog_configs_up_to_exact_rank_dim():
+    for (label, sensor), initials in CATALOG.items():
+        for initial in initials:
+            n_chain = 1
+            while True:
+                config = SensorConfig(n_chain, sensor, label, initial)
+                if len(generate(config)) > realization.EXACT_RANK_DIM:
+                    break
+                yield config
+                n_chain += 1
+
+
+@pytest.mark.parametrize(
+    "config", list(_catalog_configs_up_to_exact_rank_dim()),
+    ids=lambda c: f"{c.scheme_tag}-{c.initial_label}-N{c.n_chain}")
+def test_catalog_krylov_ranks_match_exact_rank(config):
+    model = ssm.build(config)
+    binding = rational_binding(
+        model.param_ids, spawn_rng(5, "rk", config.scheme_tag,
+                                   config.initial_label, str(config.n_chain)))
+    _assert_arnoldi_ranks_are_exact(model, binding)
 
 
 @pytest.mark.parametrize("n_chain", [3, 5])

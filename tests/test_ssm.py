@@ -7,6 +7,7 @@ is the load-bearing check for the whole linear-model layer.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsense import ssm
+from chainsense import pauli, ssm
 from chainsense.accessible import CATALOG, SensorConfig
 from chainsense.pauli import dense_hamiltonian, dense_matrix, dense_state
 from chainsense.prng import random_binding, spawn_rng
@@ -223,14 +224,25 @@ def test_spectral_bound_dominates_eigenvalues():
     assert ssm.spectral_bound(model, binding) >= radius - 1e-12
 
 
-def test_dump_load_round_trip():
-    for cfg in [SensorConfig(3, 2, "ZaYb", "xa"), SensorConfig(2, 2, "YaZb", "xb"),
-                SensorConfig(3, 1, "Yb", "xb")]:
-        model = ssm.build(cfg)
-        text = ssm.dump_text(model)
-        again = ssm.load_text(text)
-        assert again.entry_map() == model.entry_map()
-        assert again.b == model.b and again.c == model.c
+@pytest.mark.parametrize("config", [
+    SensorConfig(2, 2, "YaZb", "xb"), SensorConfig(5, 2, "ZaYb", "xa"),
+], ids=["cube-N2", "ladder-N5"])
+def test_build_takes_each_commutator_once(config, monkeypatch):
+    expanded = []
+    derivative = pauli.heisenberg_derivative
+
+    def counting(ham, op):
+        expanded.append(op.key())
+        return derivative(ham, op)
+
+    # every module that bound the function by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chainsense") and \
+                getattr(module, "heisenberg_derivative", None) is derivative:
+            monkeypatch.setattr(module, "heisenberg_derivative", counting)
+    model = ssm.build(config)
+    assert len(expanded) == model.dim
+    assert len(set(expanded)) == model.dim
 
 
 def test_atypical_binding_detection():
