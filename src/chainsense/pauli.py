@@ -10,9 +10,12 @@ letters.  Hermitian strings therefore have ``phase_exp`` in {0, 2}; the
 accessible-set machinery keeps basis elements in the sign-stripped form
 (phase 0) and carries signs separately.
 
-The dense-matrix helpers at the bottom are the independent oracle used by
-the tests: they build literal Kronecker products and refuse to run above
-14 qubits.
+The helpers at the bottom act on the computational basis for the quantum
+oracle: a string sends a basis state to one signed basis state, and H is
+built block by block on any set of basis states that it maps into itself.
+``dense_matrix`` and ``dense_state`` build literal Kronecker products; the
+tests use them as the independent referee.  All of them refuse to run
+above 14 qubits.
 """
 
 from __future__ import annotations
@@ -189,6 +192,10 @@ def format_string(p: PauliString, sensor_qubits: int = 2) -> str:
 
 def parse_string(text: str, n_qubits: int, sensor_qubits: int = 2) -> PauliString:
     """Inverse of :func:`format_string` for the same register shape."""
+    if sensor_qubits not in (1, 2):
+        raise InadmissibleConfig(
+            f"sensor has {sensor_qubits} qubits; expected 1 or 2"
+        )
     tokens = text.split()
     phase = 0
     if tokens and tokens[0] in ("-", "i", "-i"):
@@ -206,8 +213,11 @@ def parse_string(text: str, n_qubits: int, sensor_qubits: int = 2) -> PauliStrin
             q = 0
         elif label == "b":
             q = 1 if sensor_qubits == 2 else 0
-        else:
+        elif (label.isascii() and label.isdigit() and label[0] != "0"
+              and len(label) <= len(str(n_qubits))):
             q = sensor_qubits - 1 + int(label)
+        else:
+            raise InadmissibleConfig(f"bad site label in Pauli token {tok!r}")
         if q in letters:
             raise InadmissibleConfig(f"site {label!r} listed twice")
         letters[q] = letter
@@ -375,7 +385,12 @@ def expectation(p: PauliString, state: InitialState) -> Fraction:
     return Fraction(sign)
 
 
-# -- dense oracles ----------------------------------------------------------
+# -- computational basis and dense oracles -----------------------------------
+#
+# Basis states are integers in Kronecker order: qubit 0 is the most
+# significant bit, as in the rows of ``dense_matrix``.
+
+_PHASES = (1, 1j, -1, -1j)
 
 
 def _check_oracle_size(n_qubits: int):
@@ -383,6 +398,31 @@ def _check_oracle_size(n_qubits: int):
         raise OracleSizeLimit(
             f"dense oracle capped at {ORACLE_MAX_QUBITS} qubits, got {n_qubits}"
         )
+
+
+def _kron_mask(mask: int, n_qubits: int) -> int:
+    return int(format(mask, f"0{n_qubits}b")[::-1], 2)
+
+
+def excitation_sectors(n_qubits: int) -> list[np.ndarray]:
+    """The basis states of Hamming weight k = 0..n, each in ascending order."""
+    _check_oracle_size(n_qubits)
+    weight = np.bitwise_count(np.arange(1 << n_qubits))
+    return [np.flatnonzero(weight == k) for k in range(n_qubits + 1)]
+
+
+def basis_action(p: PauliString, states) -> tuple[np.ndarray, np.ndarray, complex]:
+    """``(targets, signs, phase)`` with p|s> = phase * sign_s * |target_s>.
+
+    A letter is i**(x z) X**x Z**z, so the Z part gives -1 for each set
+    bit of s under the Z mask and the X part flips the X mask.  Signs are
+    +-1; the phase is the power of i common to every state.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    flip = _kron_mask(p.x_mask, p.n_qubits)
+    zmask = _kron_mask(p.z_mask, p.n_qubits)
+    signs = 1.0 - 2.0 * (np.bitwise_count(states & zmask) & 1)
+    return states ^ flip, signs, _PHASES[(p.phase_exp + p._n_y()) % 4]
 
 
 @lru_cache(maxsize=4096)
@@ -401,14 +441,52 @@ def dense_matrix(p: PauliString) -> np.ndarray:
     return _dense_cached(p.n_qubits, p.x_mask, p.z_mask, p.phase_exp)
 
 
-def dense_hamiltonian(h: HamiltonianSpec, binding: dict[str, float]) -> np.ndarray:
-    """Dense H at a numeric binding (oracle; <= 14 qubits)."""
+def dense_hamiltonian(
+    h: HamiltonianSpec, binding: dict[str, float], states=None
+) -> np.ndarray:
+    """H at a numeric binding on the span of ``states`` (oracle; <= 14 qubits).
+
+    Entry [i, j] is <states[i]|H|states[j]>.  Without ``states`` this is
+    the whole 2**n x 2**n matrix.  H must map the span into itself: a
+    term may leave it only where terms with the same X mask cancel (XX
+    and YY on one bond do), and any other amplitude outside the span
+    raises :class:`InadmissibleConfig`.
+    """
     _check_oracle_size(h.n_qubits)
-    dim = 2**h.n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
+    dim = 1 << h.n_qubits
+    if states is None:
+        states = np.arange(dim)
+    states = np.asarray(states, dtype=np.int64)
+    if (
+        states.ndim != 1
+        or np.any((states < 0) | (states >= dim))
+        or len(np.unique(states)) != len(states)
+    ):
+        raise DimensionMismatch(
+            f"basis states must be distinct integers below {dim}"
+        )
+    index = np.full(dim, -1)
+    index[states] = np.arange(len(states))
+    # terms with one X mask send each state to the same target, so their
+    # amplitudes are summed before they are placed
+    amplitudes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for pid, pref, term in h.terms:
-        mat += float(binding[pid]) * float(pref) * dense_matrix(term)
-    return mat
+        targets, signs, phase = basis_action(term, states)
+        value = float(binding[pid]) * float(pref) * phase * signs
+        if term.x_mask in amplitudes:
+            value = amplitudes[term.x_mask][1] + value
+        amplitudes[term.x_mask] = (targets, value)
+    block = np.zeros((len(states), len(states)), dtype=complex)
+    for x_mask, (targets, value) in amplitudes.items():
+        rows = index[targets]
+        inside = rows >= 0
+        if np.any(value[~inside]):
+            raise InadmissibleConfig(
+                f"Hamiltonian terms with X mask {x_mask:#b} map the given "
+                "basis states outside their span"
+            )
+        block[rows[inside], np.flatnonzero(inside)] = value[inside]
+    return block
 
 
 def dense_state(state: InitialState) -> np.ndarray:

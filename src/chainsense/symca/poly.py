@@ -394,13 +394,17 @@ def parse(text: str, ring: PolyRing) -> MPoly:
             factor = factor.strip()
             if not factor:
                 raise InadmissibleConfig(f"empty factor in {text!r}")
-            if re.match(r"^\d+(/\d+)?$", factor):
-                coeff *= Fraction(factor)
-                continue
             m = _FACTOR.match(factor)
-            if not m:
+            try:
+                if re.match(r"^\d+(/\d+)?$", factor):
+                    coeff *= Fraction(factor)
+                    continue
+                power = int(m.group(2) or 1) if m else None
+            except (ValueError, ZeroDivisionError):  # 1/0, or too many digits
+                power = None
+            if power is None:
                 raise InadmissibleConfig(f"bad factor {factor!r} in {text!r}")
-            exps[ring.var_index(m.group(1))] += int(m.group(2) or 1)
+            exps[ring.var_index(m.group(1))] += power
         term = MPoly(ring, {tuple(exps): ring.coerce_coeff(coeff)})
         total = total + term
     return total

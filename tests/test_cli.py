@@ -298,9 +298,9 @@ def test_estimate_corrupted_csv_names_row(tmp_path, capsys):
     assert "line 3" in err
 
 
-def _simulated_rows(tmp_path, capsys, flags=CUBE_FLAGS):
+def _simulated_rows(tmp_path, capsys, flags=CUBE_FLAGS, count=40):
     rec_path = tmp_path / "rec.csv"
-    run_cli(["simulate", *flags, "--count", "40", "--record",
+    run_cli(["simulate", *flags, "--count", str(count), "--record",
              str(rec_path)], capsys)
     lines = rec_path.read_text().splitlines()
     return rec_path, lines[0], [line.split(",") for line in lines[1:]]
@@ -392,6 +392,21 @@ def test_estimate_refuses_order_above_model_dimension(tmp_path, capsys, flags,
                    f"dimension {dim}; the record does not fit this scheme\n")
 
 
+def test_estimate_refuses_a_realization_that_misses_the_record(tmp_path,
+                                                               capsys):
+    # one bad sample opens a Hankel gap at order 6, within the model's 9
+    # states; that realization gave ha 4.93 and hb 5.54 against 1 and 0.8
+    rec_path, header, body = _simulated_rows(tmp_path, capsys, CUBE1_FLAGS,
+                                             count=60)
+    body[57][1] = "1e3"
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, out, err = run_cli(
+        ["estimate", *CUBE1_FLAGS, "--record", str(rec_path)], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("numeric failure: realized model does not "
+                          "reproduce the record")
+
+
 def test_estimate_markov_overflow_is_numeric_failure(tmp_path, capsys):
     # a sampling interval of 1e-200 scales the realized generator by 1e200
     rec_path, header, body = _simulated_rows(tmp_path, capsys, CUBE1_FLAGS)
@@ -458,6 +473,37 @@ def test_oracle_check_size_cap(capsys):
         ["oracle-check", "--measurement", "ZaYb", "--n-chain", "13"], capsys)
     assert code == 2
     assert "qubit" in err.lower()
+
+
+@pytest.mark.parametrize("measurement", ["ZaYb", "YaZb"])
+def test_oracle_check_builds_no_kronecker_product(monkeypatch, capsys,
+                                                  measurement):
+    def refuse(*_):
+        raise AssertionError("the oracle built a 2^n x 2^n Kronecker product")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chainsense"):
+            for helper in ("dense_matrix", "dense_state"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, refuse)
+    code, out, _ = run_cli(
+        ["oracle-check", "--measurement", measurement, "--n-chain", "4"],
+        capsys)
+    assert code == 0
+    assert "oracle_agreement = True" in out
+
+
+@pytest.mark.parametrize("measurement", ["ZaYb", "YaZb"])
+def test_oracle_check_at_ten_qubits(tmp_path, capsys, measurement):
+    report = tmp_path / "oracle.json"
+    code, _, _ = run_cli(
+        ["oracle-check", "--measurement", measurement, "--n-chain", "8",
+         "--report", str(report)], capsys)
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert payload["verdicts"] == {"closed_forms_match": True,
+                                   "oracle_agreement": True}
+    assert payload["residuals"]["oracle_max_residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("sets,named", [

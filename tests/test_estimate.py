@@ -21,6 +21,7 @@ from chainsense.errors import (
     OracleSizeLimit,
     UnidentifiableScheme,
 )
+from chainsense.pauli import HamiltonianSpec
 from chainsense.prng import random_binding, spawn_rng
 
 
@@ -91,6 +92,19 @@ def test_oracle_bounded_by_one():
         binding, times,
     )
     assert np.max(np.abs(y)) <= 1.0 + 1e-9
+
+
+def test_oracle_refuses_a_hamiltonian_that_leaves_its_sectors():
+    cfg = ladder_cfg(1)
+    ham = cfg.hamiltonian()
+    xx = next(term for term in ham.terms if term[0] == "hb")  # no YY partner
+    lone = HamiltonianSpec(ham.n_qubits, ham.sensor_qubits, ham.n_chain,
+                           (xx,), ("hb",))
+    with pytest.raises(InadmissibleConfig, match="outside their span"):
+        estimate.exact_quantum_expectation(
+            lone, cfg.initial_state(), cfg.measurement_string(), {"hb": 1.0},
+            [0.5],
+        )
 
 
 def test_oracle_size_cap():
@@ -256,6 +270,16 @@ def test_era_markov_consistency():
     real = estimate.era(rec)
     realized = ssm.markov(real.a_hat, real.b_hat, real.c_hat, 2 * real.order)
     assert np.max(np.abs(realized - rec.values[: 2 * real.order])) < 1e-8
+
+
+def test_era_refuses_a_realization_that_misses_a_noisy_record():
+    cfg = ladder_cfg(2)
+    binding = {"ha": 1.1, "hb": -0.7, "h1": 1.3}
+    rec = make_record(cfg, binding, 60, noise=1e-4, seed=1)
+    assert estimate.era(rec).diagnostics["fit_residual"] < 3e-4
+    rec.values[10] += 0.02  # 200 sigma, yet the Hankel gap still clears
+    with pytest.raises(NumericFailure, match="does not reproduce"):
+        estimate.era(rec)
 
 
 def test_era_trailing_zeros_do_not_change_order():

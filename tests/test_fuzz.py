@@ -1,5 +1,6 @@
-"""Fuzzed inputs at the CLI's file boundary: every input gives a result or
-a documented exit code, never a Python traceback."""
+"""Fuzzed inputs at the CLI's file boundary and the text parsers: every
+input gives a result or a documented exit code (a ``ChainsenseError`` from
+a parser), never a Python traceback."""
 
 import contextlib
 import io
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainsense import cli
+from chainsense import cli, pauli
 from chainsense.errors import ChainsenseError
+from chainsense.symca.poly import PolyRing, parse
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -95,3 +97,40 @@ def test_mutated_record_exits_with_a_documented_code(workdir, records,
     path.write_text("\n".join([header, *map(",".join, body[:keep])]) + "\n")
     code = quiet_main(["estimate", *SCHEMES[scheme], "--record", str(path)])
     assert code in (0, 2, 3, 4)
+
+
+# Pauli tokens: a letter and a site label, glued from valid and invalid parts
+PAULI_TOKENS = st.one_of(
+    st.sampled_from(["-", "i", "-i", "I"]),
+    st.builds("{}{}".format, st.sampled_from(list("XYZIQx")),
+              st.sampled_from(["a", "b", "0", "1", "2", "9", "10", "b1", "q",
+                               "-1", "+1", "01", "", "1" * 40])),
+    st.text(max_size=6),
+)
+
+
+@FUZZ
+@given(tokens=st.lists(PAULI_TOKENS, max_size=5),
+       n_qubits=st.integers(0, 6), sensor_qubits=st.integers(0, 3))
+def test_pauli_parser_returns_or_refuses(tokens, n_qubits, sensor_qubits):
+    try:
+        pauli.parse_string(" ".join(tokens), n_qubits, sensor_qubits)
+    except ChainsenseError:
+        pass
+
+
+POLY_PIECES = st.one_of(
+    st.sampled_from(["x", "y", "z", "^", "*", "+", "-", "/", " ", "0", "1",
+                     "2", "3/4", "x^2", "1/0", "0/0", "9" * 5000]),
+    st.text(max_size=4),
+)
+POLY_RING = PolyRing(("x", "y"), "lex")
+
+
+@FUZZ
+@given(pieces=st.lists(POLY_PIECES, max_size=8))
+def test_polynomial_parser_returns_or_refuses(pieces):
+    try:
+        parse("".join(pieces), POLY_RING)
+    except ChainsenseError:
+        pass

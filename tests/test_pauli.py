@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 from chainsense import pauli
 from chainsense.errors import (
     DimensionMismatch,
+    InadmissibleConfig,
     NonHermitianOperator,
     OracleSizeLimit,
 )
 from chainsense.pauli import (
+    HamiltonianSpec,
     PauliString,
+    basis_action,
     chain_hamiltonian,
     commutator,
     commutes,
     dense_hamiltonian,
     dense_matrix,
     dense_state,
+    excitation_sectors,
     expectation,
     format_string,
     from_letters,
@@ -141,6 +145,17 @@ def test_text_round_trip():
     assert parse_string("Zb X1", 3, sensor_qubits=1) == from_letters(3, {0: "Z", 1: "X"})
 
 
+@pytest.mark.parametrize("text,n_qubits,sensor_qubits,reason", [
+    ("Zb1", 1, 1, "bad site label"), ("Xq", 3, 2, "bad site label"),
+    ("X0", 3, 2, "bad site label"), ("X01", 3, 2, "bad site label"),
+    ("X" + "1" * 5000, 3, 2, "bad site label"),
+    ("Xb", 3, 3, "expected 1 or 2"), ("X1", 3, 0, "expected 1 or 2"),
+])
+def test_parse_refuses_bad_site_labels(text, n_qubits, sensor_qubits, reason):
+    with pytest.raises(InadmissibleConfig, match=reason):
+        parse_string(text, n_qubits, sensor_qubits)
+
+
 def test_format_marks_phases():
     p = PauliString(1, 1, 0, 2)
     assert format_string(p) == "- Xa"
@@ -219,6 +234,59 @@ def test_derivative_matches_dense_oracle():
 
 
 # -- expectations -----------------------------------------------------------
+
+
+# -- computational basis ------------------------------------------------------
+
+
+def test_basis_action_matches_dense():
+    rng = np.random.default_rng(9)
+    states = np.arange(16)
+    for _ in range(200):
+        p = random_string(rng, 4)
+        targets, signs, phase = basis_action(p, states)
+        mat = np.zeros((16, 16), dtype=complex)
+        mat[targets, states] = phase * signs
+        np.testing.assert_array_equal(mat, dense_matrix(p))
+
+
+@pytest.mark.parametrize("n_chain,sensor_qubits", [(1, 2), (3, 2), (4, 1)])
+def test_dense_hamiltonian_blocks_match_kronecker_sum(n_chain, sensor_qubits):
+    h = chain_hamiltonian(n_chain, sensor_qubits)
+    rng = np.random.default_rng(n_chain)
+    binding = {pid: float(rng.normal()) for pid in h.param_ids}
+    kron = np.zeros((2**h.n_qubits,) * 2, dtype=complex)
+    for pid, pref, term in h.terms:
+        kron += binding[pid] * float(pref) * dense_matrix(term)
+    full = dense_hamiltonian(h, binding)
+    np.testing.assert_array_equal(full, kron)
+    sectors = excitation_sectors(h.n_qubits)
+    assert sorted(np.concatenate(sectors)) == list(range(2**h.n_qubits))
+    for sector in sectors:
+        np.testing.assert_array_equal(
+            dense_hamiltonian(h, binding, sector), kron[np.ix_(sector, sector)]
+        )
+    # H has no entries between sectors
+    outside = kron.copy()
+    for sector in sectors:
+        outside[np.ix_(sector, sector)] = 0
+    assert not outside.any()
+
+
+def test_lone_exchange_term_leaves_its_sector():
+    h = chain_hamiltonian(1)
+    xx = next(term for term in h.terms if term[0] == "hb")
+    lone = HamiltonianSpec(h.n_qubits, h.sensor_qubits, h.n_chain, (xx,),
+                           ("hb",))
+    dense_hamiltonian(lone, {"hb": 1.0})  # the whole space is closed
+    with pytest.raises(InadmissibleConfig, match="outside their span"):
+        dense_hamiltonian(lone, {"hb": 1.0}, excitation_sectors(3)[1])
+
+
+@pytest.mark.parametrize("states", [[0, 0], [8], [-1], [[1, 2]]])
+def test_dense_hamiltonian_refuses_bad_states(states):
+    with pytest.raises(DimensionMismatch):
+        dense_hamiltonian(chain_hamiltonian(1), {"ha": 1.0, "hb": 1.0}, states)
 
 
 def test_expectation_rules():

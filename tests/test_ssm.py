@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsense import pauli, ssm
+from chainsense import estimate, pauli, ssm
 from chainsense.accessible import CATALOG, SensorConfig
 from chainsense.pauli import dense_hamiltonian, dense_matrix, dense_state
 from chainsense.prng import random_binding, spawn_rng
@@ -128,6 +128,19 @@ def test_impulse_matches_quantum_oracle(n_chain):
             y_model = ssm.impulse_response(model, binding, times)
             y_quantum = quantum_impulse(cfg, binding, times)
             assert np.max(np.abs(y_model - y_quantum)) < 1e-10
+
+
+@pytest.mark.parametrize("n_chain", [1, 2, 3, 4])
+def test_sector_oracle_matches_dense_referee(n_chain):
+    times = np.linspace(0.0, 10.0, 50)
+    for cfg in all_schemes(n_chain):
+        ham = cfg.hamiltonian()
+        rng = spawn_rng(13, "sector-oracle", cfg.scheme_tag, str(n_chain))
+        binding = random_binding(ham.param_ids, rng)
+        y = estimate.exact_quantum_expectation(
+            ham, cfg.initial_state(), cfg.measurement_string(), binding, times
+        )
+        assert np.max(np.abs(y - quantum_impulse(cfg, binding, times))) <= 1e-13
 
 
 def test_impulse_at_time_zero_is_cb():
