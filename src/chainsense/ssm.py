@@ -121,14 +121,20 @@ def build(config: SensorConfig) -> StateSpaceModel:
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(model: StateSpaceModel, binding: Binding):
-    """Dense float (A, B, C) at a numeric binding."""
-    a = np.zeros((model.dim, model.dim))
-    for e in model.a_entries:
-        a[e.row, e.col] = e.sign * float(binding[e.param_id])
+def evaluate(model: StateSpaceModel, binding: Binding | list[Binding]):
+    """Dense float (A, B, C) at a numeric binding.  A list of k bindings
+    gives A as a stack of shape (k, dim, dim); B and C do not depend on the
+    binding."""
+    bindings = binding if isinstance(binding, list) else [binding]
+    params = {e.param_id for e in model.a_entries}
+    a = np.zeros((len(bindings), model.dim, model.dim))
+    for i, bound in enumerate(bindings):
+        value = {p: float(bound[p]) for p in params}
+        for e in model.a_entries:
+            a[i, e.row, e.col] = e.sign * value[e.param_id]
     b = np.array([float(v) for v in model.b])
     c = np.array([float(v) for v in model.c])
-    return a, b, c
+    return (a if isinstance(binding, list) else a[0]), b, c
 
 
 def evaluate_exact(model: StateSpaceModel, binding: dict[str, Fraction]):
@@ -192,29 +198,48 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
     (classical Gram-Schmidt with full reorthogonalization).  If the Krylov
     space closes early, the iteration stops there: Q has fewer than
     ``count`` columns, and that width is the number of steps reached.
+
+    A may also be a stack of shape (k, n, n), with v of shape (n,) or
+    (k, n).  The slices run side by side and each stops where its own
+    Krylov space closes.  A stack returns Q of shape (k, n, count) and H of
+    shape (k, count, count), both zero past each slice's width, and the
+    widths as an int array of shape (k,).  A 2-D A is a stack of one whose
+    Q and H come back trimmed to its width.
     """
-    n = a.shape[0]
-    q = np.zeros((n, count))
-    h = np.zeros((count, count))
-    tol = ARNOLDI_BREAKDOWN * n * np.finfo(float).eps * np.linalg.norm(a)
-    beta = float(np.linalg.norm(v))
-    if count == 0 or beta == 0:
-        return q[:, :0], h[:0, :0]
-    q[:, 0] = v / beta
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 2:
+        q, h, steps = arnoldi(a[None], v, count)
+        width = int(steps[0])
+        return q[0, :, :width], h[0, :width, :width]
+    k, n, _ = a.shape
+    v = np.broadcast_to(np.asarray(v, dtype=float), (k, n))
+    q = np.zeros((k, n, count))
+    h = np.zeros((k, count, count))
+    tol = (ARNOLDI_BREAKDOWN * n * np.finfo(float).eps
+           * np.linalg.norm(a, axis=(1, 2)))
+    if count == 0:
+        return q, h, np.zeros(k, dtype=int)
+    beta = np.linalg.norm(v, axis=1)
+    live = beta > 0
+    steps = live.astype(int)
+    q[live, :, 0] = v[live] / beta[live, None]
     for j in range(count):
-        w = a @ q[:, j]
+        w = a @ q[:, :, j, None]
         for _ in range(2):
-            coef = q[:, : j + 1].T @ w
-            w = w - q[:, : j + 1] @ coef
-            h[: j + 1, j] += coef
+            coef = q[:, :, : j + 1].transpose(0, 2, 1) @ w
+            w = w - q[:, :, : j + 1] @ coef
+            h[:, : j + 1, j] += coef[:, :, 0]
         if j + 1 == count:
             break
-        norm = float(np.linalg.norm(w))
-        if norm <= tol:
-            return q[:, : j + 1], h[: j + 1, : j + 1]
-        h[j + 1, j] = norm
-        q[:, j + 1] = w / norm
-    return q, h
+        norm = np.sqrt(np.sum(w[:, :, 0] ** 2, axis=1))
+        live &= norm > tol
+        if not live.any():
+            break
+        steps += live
+        h[:, j + 1, j] = np.where(live, norm, 0.0)
+        np.divide(w[:, :, 0], norm[:, None], out=q[:, :, j + 1],
+                  where=live[:, None])
+    return q, h, steps
 
 
 def markov(a, b, c, count: int):

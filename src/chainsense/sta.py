@@ -59,49 +59,69 @@ class STAInstance:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance:
-    """Krylov certificate on explicit numeric triples (no minimality check)."""
+def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
+    """Krylov certificate on explicit numeric triples (no minimality check).
+
+    ``a_hp`` is one matrix, which gives one instance, or a stack of shape
+    (k, n, n), which gives a list of k instances.  The Arnoldi basis of
+    ``a_h`` is formed once and serves every slice; each slice gets its own
+    verdict, and one whose Krylov space closes early is degenerate with its
+    own ``breakdown_step``.
+    """
     a_h = np.asarray(a_h, dtype=float)
     a_hp = np.asarray(a_hp, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     c = np.asarray(c, dtype=float)
+    stack = a_hp[None] if a_hp.ndim == 2 else a_hp
     n = a_h.shape[0]
     scale = max(1.0, float(np.linalg.norm(a_h)))
     q, h = ssm.arnoldi(a_h, x0, n)
-    qp, hp = ssm.arnoldi(a_hp, x0, n)
-    steps = min(q.shape[1], qp.shape[1])
-    if steps < n:
-        return STAInstance(
-            dim=n, binding_h={}, binding_h_prime={}, residual=float("inf"),
-            affine_dim=n - steps, s_matrix=None, det_s=0.0,
-            verdict="degenerate",
-            diagnostics={"breakdown_step": steps, "scale": scale},
-        )
-    t = np.zeros((n, n))
-    t[0, 0] = 1.0
-    for j in range(n - 1):
-        t[:, j + 1] = (hp @ t[:, j] - t[:, : j + 1] @ h[: j + 1, j]) / h[j + 1, j]
-    s = qp @ t @ q.T
-    residual = float(np.linalg.norm(np.concatenate(
-        [(s @ a_h - a_hp @ s).ravel(), s @ x0 - x0, c @ s - c])))
-    det_s = float(np.linalg.det(s))
-    if residual <= EQUIV_RESIDUAL_SCALE * scale and abs(det_s) > DET_THRESHOLD:
-        verdict = "equivalent"
-    elif residual >= INEQUIV_RESIDUAL:
-        verdict = "inequivalent"
-    else:
-        verdict = "degenerate"
-    return STAInstance(
-        dim=n,
-        binding_h={},
-        binding_h_prime={},
-        residual=residual,
-        affine_dim=0,
-        s_matrix=s if verdict == "equivalent" else None,
-        det_s=det_s,
-        verdict=verdict,
-        diagnostics={"s_fro": float(np.linalg.norm(s)), "scale": scale},
-    )
+    qp, hp, steps = ssm.arnoldi(stack, x0, n)
+    # a reference basis that closes early leaves every slice degenerate
+    steps = np.minimum(steps, q.shape[1])
+    if q.shape[1] == n:
+        t = np.zeros(stack.shape)
+        t[:, 0, 0] = 1.0
+        for j in range(n - 1):
+            t[:, :, j + 1] = ((hp @ t[:, :, j, None])[:, :, 0]
+                              - t[:, :, : j + 1] @ h[: j + 1, j]) / h[j + 1, j]
+        s = qp @ t @ q.T
+        residuals = np.sqrt(
+            np.sum((s @ a_h - stack @ s) ** 2, axis=(1, 2))
+            + np.sum((s @ x0 - x0) ** 2, axis=1)
+            + np.sum((c @ s - c) ** 2, axis=1))
+        dets = np.linalg.det(s)
+        s_fros = np.linalg.norm(s, axis=(1, 2))
+    out = []
+    for i, reached in enumerate(steps):
+        if reached < n:
+            out.append(STAInstance(
+                dim=n, binding_h={}, binding_h_prime={}, residual=float("inf"),
+                affine_dim=n - int(reached), s_matrix=None, det_s=0.0,
+                verdict="degenerate",
+                diagnostics={"breakdown_step": int(reached), "scale": scale},
+            ))
+            continue
+        residual = float(residuals[i])
+        det_s = float(dets[i])
+        if residual <= EQUIV_RESIDUAL_SCALE * scale and abs(det_s) > DET_THRESHOLD:
+            verdict = "equivalent"
+        elif residual >= INEQUIV_RESIDUAL:
+            verdict = "inequivalent"
+        else:
+            verdict = "degenerate"
+        out.append(STAInstance(
+            dim=n,
+            binding_h={},
+            binding_h_prime={},
+            residual=residual,
+            affine_dim=0,
+            s_matrix=s[i] if verdict == "equivalent" else None,
+            det_s=det_s,
+            verdict=verdict,
+            diagnostics={"s_fro": float(s_fros[i]), "scale": scale},
+        ))
+    return out[0] if a_hp.ndim == 2 else out
 
 
 def solve_similarity(
@@ -209,8 +229,10 @@ class ScanReport:
         )
 
 
-def _minimal_triple(model: StateSpaceModel, binding: dict[str, Fraction]):
-    """Float (A, x0, C) of the minimal system at an exact binding.
+def _minimal_triple(model: StateSpaceModel, bindings):
+    """Float (A, x0, C) of the minimal system at an exact binding.  A list
+    of k bindings gives A as a stack of shape (k, m, m), reduced by one
+    stacked Arnoldi; x0 and C do not depend on the binding.
 
     At odd N the ladder has one unobservable direction z, orthogonal to the
     observability Krylov space of dim m = dim - 1.  The structure-preserving
@@ -218,19 +240,21 @@ def _minimal_triple(model: StateSpaceModel, binding: dict[str, Fraction]):
     into the rest with w = -z[:m] / z[m]: the float form of
     ``realization.spt_minimal``, whose w = Pbar^{-1} p.
     """
-    a, b, c = ssm.evaluate(model, binding)
-    if model.config.n_chain % 2 == 0:
-        return a, b, c
-    m = model.dim - 1
-    q, _ = ssm.arnoldi(a.T, c, m)
-    z = np.zeros(m + 1)
-    z[m] = 1.0
-    for _ in range(2):
-        z -= q @ (q.T @ z)
-    if q.shape[1] < m:
-        raise AtypicalParameters("observability space closes early at this binding")
-    w = -z[:m] / z[m]
-    return a[:m, :m] + np.outer(w, a[m, :m]), b[:m], c[:m]
+    stack = isinstance(bindings, list)
+    a, b, c = ssm.evaluate(model, bindings if stack else [bindings])
+    if model.config.n_chain % 2:
+        m = model.dim - 1
+        q, _, steps = ssm.arnoldi(a.transpose(0, 2, 1), c, m)
+        if np.any(steps < m):
+            raise AtypicalParameters("observability space closes early at this binding")
+        z = np.zeros((len(a), m + 1))
+        z[:, m] = 1.0
+        for _ in range(2):
+            z -= (q @ (q.transpose(0, 2, 1) @ z[:, :, None]))[:, :, 0]
+        w = -z[:, :m] / z[:, m, None]
+        a = a[:, :m, :m] + w[:, :, None] * a[:, None, m, :m]
+        b, c = b[:m], c[:m]
+    return (a if stack else a[0]), b, c
 
 
 def _referee(model: StateSpaceModel, binding: dict[str, Fraction], a_min) -> None:
@@ -272,9 +296,6 @@ def identifiability_scan(
     for t in range(trials):
         rng = spawn_rng(seed, "scan", config.scheme_tag, str(config.n_chain), str(t))
         binding = rational_binding(model.param_ids, rng)
-        a_h, b, c = _minimal_triple(model, binding)
-        if config.n_chain % 2:
-            _referee(model, binding, a_h)
         patterns = []
         if 2 ** len(flippable) <= MAX_SIGN_PATTERNS:
             for r in range(1, len(flippable) + 1):
@@ -283,40 +304,30 @@ def identifiability_scan(
             patterns = [tuple(p for p in flippable if rng.random() < 0.5)
                         for _ in range(MAX_SIGN_PATTERNS)]
             patterns = [p if p else (flippable[0],) for p in patterns]
-        worst_equiv = 0.0
-        n_equiv = 0
-        witness = None
-        for pat in patterns:
-            flipped = flip_binding(binding, set(pat))
-            a_hp, _, _ = _minimal_triple(model, flipped)
-            inst = solve_similarity_raw(a_h, a_hp, b, c)
-            worst_equiv = max(worst_equiv, inst.residual)
-            if inst.verdict == "equivalent":
-                n_equiv += 1
-                if witness is None:
-                    witness = inst.s_matrix
-        best_inequiv = float("inf")
-        n_inequiv = 0
-        for k in range(n_perturb):
+        perturbed = []
+        for _ in range(n_perturb):
             pid = model.param_ids[int(rng.integers(0, len(model.param_ids)))]
             delta = Fraction(int(rng.integers(1, 9)), 16)  # 1/16 .. 1/2, >= 5%
             factor = 1 + delta if rng.random() < 0.5 else 1 / (1 + delta)
-            perturbed = dict(binding)
-            perturbed[pid] = binding[pid] * factor
-            a_hp, _, _ = _minimal_triple(model, perturbed)
-            inst = solve_similarity_raw(a_h, a_hp, b, c)
-            best_inequiv = min(best_inequiv, inst.residual)
-            if inst.verdict == "inequivalent":
-                n_inequiv += 1
+            perturbed.append({**binding, pid: binding[pid] * factor})
+        flipped = [flip_binding(binding, set(pat)) for pat in patterns]
+        a, b, c = _minimal_triple(model, [binding, *flipped, *perturbed])
+        if config.n_chain % 2:
+            _referee(model, binding, a[0])
+        insts = solve_similarity_raw(a[0], a[1:], b, c)
+        flips, perturbs = insts[: len(patterns)], insts[len(patterns):]
+        equivalent = [i for i in flips if i.verdict == "equivalent"]
         trial_rows.append(ScanTrial(
             binding={k: float(v) for k, v in binding.items()},
             sign_flips_checked=len(patterns),
-            sign_flips_equivalent=n_equiv,
+            sign_flips_equivalent=len(equivalent),
             perturbations_checked=n_perturb,
-            perturbations_inequivalent=n_inequiv,
-            worst_equiv_residual=worst_equiv,
-            best_inequiv_residual=best_inequiv,
-            witness_s=witness,
+            perturbations_inequivalent=sum(
+                i.verdict == "inequivalent" for i in perturbs),
+            worst_equiv_residual=max([0.0] + [i.residual for i in flips]),
+            best_inequiv_residual=min(
+                [float("inf")] + [i.residual for i in perturbs]),
+            witness_s=equivalent[0].s_matrix if equivalent else None,
         ))
     report = ScanReport(config.scheme_tag, config.n_chain, trial_rows, None, "")
     report.identifiable_in_magnitude = report.all_clean

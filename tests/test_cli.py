@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from chainsense import cli, estimate, realization, ssm
-from chainsense.accessible import SensorConfig
+from chainsense.accessible import CATALOG, SensorConfig
+from chainsense.prng import random_binding, spawn_rng
 
 
 def run_cli(argv, capsys):
@@ -282,6 +283,39 @@ def test_estimate_refuses_orthogonal(tmp_path, capsys):
          "--n-chain", "2", "--record", str(rec_path)], capsys)
     assert code == 3
     assert "refused" in err
+
+
+@pytest.mark.parametrize("n_chain", range(1, 5))
+@pytest.mark.parametrize("measurement,sensor,initial", [
+    (meas, nq, init) for (meas, nq), inits in CATALOG.items() for init in inits])
+def test_catalog_simulate_estimate_round_trip(tmp_path, capsys, measurement,
+                                              sensor, initial, n_chain):
+    """Noiseless 200-sample round trip: the magnitudes come back to 1e-8,
+    or the scheme is refused with exit 3 (orthogonal schemes, and the cube
+    beyond two chain spins); nothing else."""
+    config = SensorConfig(n_chain, sensor, measurement, initial)
+    rng = spawn_rng(37, "round-trip", config.scheme_tag, initial, str(n_chain))
+    truth = random_binding(config.hamiltonian().param_ids, rng)
+    scheme = ["--measurement", measurement, "--sensor-qubits", str(sensor),
+              "--initial", initial, "--n-chain", str(n_chain)]
+    rec_path, rep_path = tmp_path / "rec.csv", tmp_path / "rep.json"
+    sets = [arg for k, v in truth.items() for arg in ("--set", f"{k}={v!r}")]
+    code, _, _ = run_cli(["simulate", *scheme, *sets, "--count", "200",
+                          "--record", str(rec_path)], capsys)
+    assert code == 0
+    code, _, err = run_cli(["estimate", *scheme, "--record", str(rec_path),
+                            "--report", str(rep_path)], capsys)
+    refused = (config.capability == "orthogonal"
+               or (config.capability == "cube" and n_chain >= 3))
+    if refused:
+        assert code == 3, err
+        assert err.startswith("refused: ") and err.count("\n") == 1, err
+        return
+    assert code == 0, err
+    estimates = json.loads(rep_path.read_text())["estimates"]
+    assert set(estimates) == set(truth)
+    for name, value in truth.items():
+        assert abs(abs(estimates[name]) - abs(value)) <= 1e-8 * abs(value), name
 
 
 def test_estimate_corrupted_csv_names_row(tmp_path, capsys):

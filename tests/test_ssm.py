@@ -188,6 +188,50 @@ def test_arnoldi_stops_where_the_krylov_space_closes():
     assert ssm.arnoldi(a, np.zeros(4), 4)[0].shape == (4, 0)
 
 
+@pytest.mark.parametrize("n_chain", range(2, 10))
+@pytest.mark.parametrize("scheme", [("ZaYb", "xa"), ("YaZb", "xb")])
+def test_stacked_arnoldi_slices_match_single_calls(scheme, n_chain):
+    """Each slice of a stack reaches the 2-D call's width with its Q and H,
+    and is zero past it.  The binding with hb = 0 cuts the chain off, so
+    both of its Krylov spaces close at step 2 while the others run on."""
+    model = ssm.build(SensorConfig(n_chain, 2, *scheme))
+    rng = spawn_rng(6, "stack", *scheme, str(n_chain))
+    bindings = [random_binding(model.param_ids, rng) for _ in range(3)]
+    bindings.append(dict(bindings[0], hb=0.0))
+    a, b, c = ssm.evaluate(model, bindings)
+    # the cube's spaces run to hundreds of steps from N = 4; 48 keep this fast
+    count = min(model.dim, 48)
+    starts = rng.normal(size=(len(a), model.dim))
+    for stack, v in ((a, b), (a.transpose(0, 2, 1), c), (a, starts)):
+        q, h, steps = ssm.arnoldi(stack, v, count)
+        assert q.shape == (len(a), model.dim, count)
+        assert h.shape == (len(a), count, count)
+        for i, v_i in enumerate(np.broadcast_to(v, (len(a), model.dim))):
+            q_i, h_i = ssm.arnoldi(stack[i], v_i, count)
+            width = q_i.shape[1]
+            assert steps[i] == width
+            assert np.allclose(q[i, :, :width], q_i, rtol=0, atol=1e-12)
+            assert np.allclose(h[i, :width, :width], h_i, rtol=0, atol=1e-12)
+            assert not q[i, :, width:].any()
+            assert not h[i, width:].any() and not h[i, :, width:].any()
+        if v is not starts:
+            assert steps[-1] == 2 < min(steps[:-1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_arnoldi_stops_each_slice_on_its_own():
+    full = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+    stack = np.stack([np.diag([1.0, 2.0, 3.0]), full])
+    q, h, steps = ssm.arnoldi(stack, np.array([1.0, 0.0, 0.0]), 3)
+    assert steps.tolist() == [1, 3]
+    assert np.allclose(q[0, :, 0], [1.0, 0.0, 0.0])
+    assert not q[0, :, 1:].any() and not h[0, :, 1:].any()
+    assert np.allclose(q[1].T @ q[1], np.eye(3), atol=1e-14)
+    assert np.allclose(h[1], q[1].T @ full @ q[1], atol=1e-14)
+    q, h, steps = ssm.arnoldi(stack, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), 3)
+    assert steps.tolist() == [0, 3] and not q[0].any()
+
+
 @pytest.mark.parametrize("n_chain", range(1, 61))
 def test_arnoldi_steps_give_the_ladder_observability_rank(n_chain):
     """dim at even N, dim - 1 at odd N (one unobservable direction)."""

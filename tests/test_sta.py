@@ -5,6 +5,7 @@ are equivalent with a diagonal +-1 witness, magnitude perturbations are
 inequivalent, and small cases are re-derived in exact rational arithmetic.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -213,6 +214,122 @@ def test_krylov_breakdown_is_degenerate():
     assert inst.verdict == "degenerate"
     assert inst.diagnostics["breakdown_step"] == 1
     assert inst.s_matrix is None
+
+
+def test_stacked_certificate_breakdown_is_per_slice():
+    a_h = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+    x0 = np.array([1.0, 0.0, 0.0])
+    same, closed = sta.solve_similarity_raw(
+        a_h, np.stack([a_h, np.diag([1.0, 2.0, 3.0])]), x0, x0)
+    assert same.verdict == "equivalent"
+    assert np.allclose(same.s_matrix, np.eye(3), atol=1e-12)
+    assert closed.verdict == "degenerate"
+    assert closed.diagnostics["breakdown_step"] == 1
+    assert closed.affine_dim == 2
+    assert closed.s_matrix is None
+
+
+@pytest.mark.parametrize("n_chain", range(2, 10))
+def test_stacked_certificates_match_one_at_a_time(n_chain):
+    """Every sign pattern of the unknown couplings and every coupling moved
+    up and down by 1/16, in one stack, against one 2-D call each."""
+    model = ladder(n_chain)
+    rng = spawn_rng(29, "stack", str(n_chain))
+    binding = rational_binding(model.param_ids, rng)
+    flippable = [p for p in model.param_ids if p != "ha"]
+    flips = [sta.flip_binding(binding, set(pat))
+             for r in range(1, len(flippable) + 1)
+             for pat in itertools.combinations(flippable, r)]
+    bumps = [dict(binding, **{pid: binding[pid] * f})
+             for pid in model.param_ids
+             for f in (Fraction(17, 16), Fraction(16, 17))]
+    a, b, c = sta._minimal_triple(model, [binding, *flips, *bumps])
+    stacked = sta.solve_similarity_raw(a[0], a[1:], b, c)
+    assert len(stacked) == len(flips) + len(bumps)
+    for other, a_hp, inst in zip(flips + bumps, a[1:], stacked):
+        a_one, b_one, c_one = sta._minimal_triple(model, other)
+        assert np.allclose(a_hp, a_one, rtol=0,
+                           atol=1e-12 * np.abs(a_one).max())
+        assert np.array_equal(b, b_one) and np.array_equal(c, c_one)
+        one = sta.solve_similarity_raw(a[0], a_one, b, c)
+        assert inst.verdict == one.verdict
+        assert inst.verdict == ("equivalent" if other in flips
+                                else "inequivalent")
+        # below 1e-12 * scale a residual is round-off; its verdict decides
+        scale = one.diagnostics["scale"]
+        assert inst.residual == pytest.approx(one.residual, rel=1e-12,
+                                              abs=1e-12 * scale)
+        assert inst.det_s == pytest.approx(one.det_s, rel=1e-12)
+        if one.s_matrix is not None:
+            assert np.allclose(inst.s_matrix, one.s_matrix, rtol=0, atol=1e-12)
+
+
+def serial_scan_trials(model, trials, seed, n_perturb):
+    """The scan's trials with one reduction and one certificate per binding:
+    the referee of the stacked scan."""
+    config = model.config
+    flippable = [p for p in model.param_ids if p != "ha"]
+    rows = []
+    for t in range(trials):
+        rng = spawn_rng(seed, "scan", config.scheme_tag, str(config.n_chain), str(t))
+        binding = rational_binding(model.param_ids, rng)
+        a_h, b, c = sta._minimal_triple(model, binding)
+        if 2 ** len(flippable) <= sta.MAX_SIGN_PATTERNS:
+            patterns = [pat for r in range(1, len(flippable) + 1)
+                        for pat in itertools.combinations(flippable, r)]
+        else:
+            patterns = [tuple(p for p in flippable if rng.random() < 0.5)
+                        for _ in range(sta.MAX_SIGN_PATTERNS)]
+            patterns = [p if p else (flippable[0],) for p in patterns]
+        worst_equiv, n_equiv, witness = 0.0, 0, None
+        for pat in patterns:
+            a_hp, _, _ = sta._minimal_triple(model, sta.flip_binding(binding, set(pat)))
+            inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+            worst_equiv = max(worst_equiv, inst.residual)
+            if inst.verdict == "equivalent":
+                n_equiv += 1
+                if witness is None:
+                    witness = inst.s_matrix
+        best_inequiv, n_inequiv = float("inf"), 0
+        for _ in range(n_perturb):
+            pid = model.param_ids[int(rng.integers(0, len(model.param_ids)))]
+            delta = Fraction(int(rng.integers(1, 9)), 16)
+            factor = 1 + delta if rng.random() < 0.5 else 1 / (1 + delta)
+            perturbed = dict(binding)
+            perturbed[pid] = binding[pid] * factor
+            a_hp, _, _ = sta._minimal_triple(model, perturbed)
+            inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+            best_inequiv = min(best_inequiv, inst.residual)
+            if inst.verdict == "inequivalent":
+                n_inequiv += 1
+        rows.append(sta.ScanTrial(
+            {k: float(v) for k, v in binding.items()}, len(patterns), n_equiv,
+            n_perturb, n_inequiv, worst_equiv, best_inequiv, witness))
+    return rows
+
+
+@pytest.mark.parametrize("n_perturb", [0, 8])
+@pytest.mark.parametrize("n_chain", range(2, 10))
+def test_identifiability_scan_matches_serial_referee(n_chain, n_perturb):
+    model = ladder(n_chain)
+    report = sta.identifiability_scan(model, trials=2, seed=31, n_perturb=n_perturb)
+    assert report.identifiable_in_magnitude is True
+    serial = serial_scan_trials(model, trials=2, seed=31, n_perturb=n_perturb)
+    assert len(report.trials) == len(serial) == 2
+    for got, want in zip(report.trials, serial):
+        assert got.binding == want.binding
+        assert got.sign_flips_checked == want.sign_flips_checked
+        assert got.sign_flips_equivalent == want.sign_flips_equivalent
+        assert got.perturbations_checked == want.perturbations_checked == n_perturb
+        assert got.perturbations_inequivalent == want.perturbations_inequivalent
+        # the worst equivalent residual is round-off, ~1e-15
+        assert got.worst_equiv_residual == pytest.approx(
+            want.worst_equiv_residual, rel=1e-12, abs=1e-12)
+        assert got.best_inequiv_residual == pytest.approx(
+            want.best_inequiv_residual, rel=1e-12)
+        assert np.allclose(got.witness_s, want.witness_s, rtol=0, atol=1e-12)
+    if n_perturb == 0:
+        assert all(t.best_inequiv_residual == float("inf") for t in report.trials)
 
 
 def test_exact_certificate_lifts_the_dim_cap():
