@@ -148,16 +148,6 @@ def closure(
     return depths, derivatives
 
 
-def ladder_size(n_chain: int) -> int:
-    return n_chain + 2
-
-
-def g3_size(n_chain: int) -> int:
-    """Element count of the cube scheme's accessible set."""
-    m = n_chain + 2
-    return (m**3 - m**2) // 2
-
-
 # -- canonical orders -------------------------------------------------------
 
 # documented element order for the cube scheme, one and two chain spins
@@ -216,9 +206,6 @@ class AccessibleSet:
     """Ordered, signed operator basis generated by a measurement, with the
     derivative terms of each element keyed by its string."""
 
-    scheme_tag: str
-    n_chain: int
-    sensor_qubits: int
     basis: tuple[tuple[int, PauliString], ...]
     derivatives: dict[tuple[int, int], list[Term]]
     _index: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
@@ -270,21 +257,10 @@ def generate(config: SensorConfig) -> AccessibleSet:
         ordered = sorted(depths, key=lambda k: (depths[k], k[0], k[1]))
         basis = [(1, PauliString(n, x, z, 0)) for x, z in ordered]
 
-    aset = AccessibleSet(
-        scheme_tag=config.scheme_tag,
-        n_chain=config.n_chain,
-        sensor_qubits=config.sensor_qubits,
-        basis=tuple(basis),
-        derivatives=derivatives,
-    )
+    aset = AccessibleSet(basis=tuple(basis), derivatives=derivatives)
     if {s.key() for _sg, s in basis} != set(depths):
         raise InadmissibleConfig(
             f"constructive order for {config.scheme_tag} disagrees with the "
             "commutator closure"
         )
     return aset
-
-
-def orthogonality_check(aset: AccessibleSet, state: InitialState) -> bool:
-    """True when every basis element has exactly zero expectation."""
-    return all(v == 0 for v in aset.signed_expectations(state))

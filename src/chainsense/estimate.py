@@ -169,14 +169,9 @@ def simulate_record(
     count: int,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    source: str = "model",
 ) -> MeasurementRecord:
-    """Sample the impulse response on a uniform grid, optionally with noise.
-
-    ``source="model"`` integrates the linear model; ``source="quantum"``
-    evaluates the dense quantum oracle instead (identical up to numeric
-    round-off, far slower, capped in system size).
-    """
+    """Sample the linear model's impulse response on a uniform grid,
+    optionally with noise."""
     if count < 2:
         raise InadmissibleConfig("a record needs at least two samples")
     ssm.check_binding(model, binding)
@@ -197,19 +192,7 @@ def simulate_record(
             f"use dt < {BRANCH_SAFETY / bound:.6f}"
         )
     times = dt * np.arange(count)
-    if source == "model":
-        values = ssm.impulse_response(model, binding, times)
-    elif source == "quantum":
-        values = exact_quantum_expectation(
-            model.ham,
-            config.initial_state(),
-            config.measurement_string(),
-            binding,
-            times,
-        )
-    else:
-        raise InadmissibleConfig(f"unknown record source {source!r}")
-    values = np.asarray(values, dtype=float)
+    values = ssm.impulse_response(model, binding, times)
     if noise_sigma:
         rng = np.random.default_rng(seed)
         values = values + noise_sigma * rng.standard_normal(count)
@@ -337,11 +320,8 @@ def era(
         )
     r = (count + 1) // 2
     s = count // 2
-    h0 = np.empty((r, s))
-    h1 = np.empty((r, s))
-    for i in range(r):
-        h0[i] = values[i : i + s]
-        h1[i] = values[i + 1 : i + 1 + s]
+    windows = np.lib.stride_tricks.sliding_window_view(values, s)
+    h0, h1 = windows[:r], windows[1:]
     try:
         u, sing, vt = np.linalg.svd(h0, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -581,16 +561,26 @@ def recover_parameters(
     n = config.n_chain
     if capability == "ladder":
         expected = n + 2 if n % 2 == 0 else n + 1
-        real = era(record, expected_order=expected, max_order=n + 2)
-        if real.verdict != "ok":
-            raise NumericFailure(
-                "model order ambiguous: no singular-value gap cleared the "
-                f"threshold (gap ratio {real.diagnostics['gap_ratio']:.3e})"
-            )
-        markov = _realized_markov(real, 2 * n + 2)
+        max_order = n + 2
+    elif n > 2:
+        raise UnidentifiableScheme(
+            f"cube scheme recovery is established for chains of one or two "
+            f"spins; N={n} is undecided here"
+        )
+    else:
+        model = ssm.build(config)
+        expected, max_order = 2 * n + 2, model.dim
+    real = era(record, expected_order=expected, max_order=max_order)
+    if real.verdict != "ok":
+        raise NumericFailure(
+            "model order ambiguous: no singular-value gap cleared the "
+            f"threshold (gap ratio {real.diagnostics['gap_ratio']:.3e})"
+        )
+    markov = _realized_markov(real, 2 * n + 2)
+    if capability == "ladder":
         betas = moment_chain_magnitudes(markov, n + 2)
         names = ladder_param_order(n)
-        result = RecoveryResult(
+        return RecoveryResult(
             magnitudes={name: float(b) for name, b in zip(names, betas)},
             method="moment-chain",
             realization=real,
@@ -599,21 +589,6 @@ def recover_parameters(
                 "expected_order": expected,
             },
         )
-        return result
-    # cube
-    if n > 2:
-        raise UnidentifiableScheme(
-            f"cube scheme recovery is established for chains of one or two "
-            f"spins; N={n} is undecided here"
-        )
-    model = ssm.build(config)
-    real = era(record, expected_order=2 * n + 2, max_order=model.dim)
-    if real.verdict != "ok":
-        raise NumericFailure(
-            "model order ambiguous: no singular-value gap cleared the "
-            f"threshold (gap ratio {real.diagnostics['gap_ratio']:.3e})"
-        )
-    markov = _realized_markov(real, 2 * n + 2)
     solved, magnitudes = cube_elimination(
         model, [Fraction(float(v)) for v in markov]
     )

@@ -158,12 +158,5 @@ def solve_general(
     return particular, nullspace(m)
 
 
-def from_floats(m, denominator_limit: int = 10**12) -> Mat:
-    """Nearest-rational lift of a float matrix (for exact re-checks)."""
-    return [
-        [Fraction(x).limit_denominator(denominator_limit) for x in row] for row in m
-    ]
-
-
 def to_floats(m: Mat):
     return [[float(x) for x in row] for row in m]

@@ -74,10 +74,6 @@ class PauliString:
         return self.x_mask | self.z_mask
 
     @property
-    def weight(self) -> int:
-        return self.support.bit_count()
-
-    @property
     def is_identity(self) -> bool:
         return self.support == 0
 

@@ -1,12 +1,11 @@
 """Structural analysis of the linear models: Krylov ranks, PBH, minimal
 realizations, and the closed-form determinant oracles.
 
-Two arithmetic tiers.  In floating point every Krylov rank (controllable,
-observable, and the two projections of the Kalman reduction) is the step
-where ``ssm.arnoldi`` stops; only the PBH test takes an SVD rank.  Exact
-rationals certify every rank or determinant verdict at sampled rational
-bindings, since genericity claims are best pinned down by identities rather
-than tolerances.
+Two arithmetic tiers.  In floating point every Krylov rank (observable,
+and the two projections of the Kalman reduction) is the step where
+``ssm.arnoldi`` stops.  Exact rationals certify every rank, PBH or
+determinant verdict at sampled rational bindings, since genericity claims
+are best pinned down by identities rather than tolerances.
 """
 
 from __future__ import annotations
@@ -26,35 +25,12 @@ RATIONAL = dict[str, Fraction]
 # -- Krylov ranks -----------------------------------------------------------
 
 
-def svd_rank(m: np.ndarray) -> int:
-    """Rank with threshold sigma_max * dim * eps * 64.
-
-    The generous multiplier guards against false deficiency from entries
-    that are products of up to dim couplings.
-    """
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    tol = s[0] * max(m.shape) * np.finfo(float).eps * 64
-    return int(np.count_nonzero(s > tol))
-
-
-def controllability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of span[B, AB, ..., A^{n-1}B] and its rank.
-
-    The rank is where Arnoldi on (A, B) closes its Krylov space; an SVD of
-    the raw powers A^k B loses rank on the ladder from N = 20 on.
-    """
-    a, b, _ = ssm.evaluate(model, binding)
-    q, _ = ssm.arnoldi(a, b, model.dim)
-    return q, q.shape[1]
-
-
 def observability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of span[C^T, A^T C^T, ...] and its rank, found as
-    in ``controllability_rank`` with (A^T, C^T)."""
+    """Orthonormal basis of span[C^T, A^T C^T, ...] and its rank.
+
+    The rank is where Arnoldi on (A^T, C^T) closes its Krylov space; an SVD
+    of the raw powers (A^T)^k C^T loses rank on long chains.
+    """
     a, _, c = ssm.evaluate(model, binding)
     q, _ = ssm.arnoldi(a.T, c, model.dim)
     return q, q.shape[1]
@@ -109,14 +85,8 @@ class PBHResult:
         return self.rank < self.dim
 
 
-def pbh_test(model: StateSpaceModel, binding, lam: complex) -> PBHResult:
-    """Column rank of [A - lam I; C] stacked."""
-    a, _, c = ssm.evaluate(model, binding)
-    stacked = np.vstack([a - lam * np.eye(model.dim), c[None, :]])
-    return PBHResult(lam, svd_rank(stacked), model.dim)
-
-
 def pbh_test_exact(model: StateSpaceModel, binding: RATIONAL, lam: Fraction) -> PBHResult:
+    """Exact column rank of [A - lam I; C] stacked."""
     if model.dim > EXACT_RANK_DIM:
         raise DimensionMismatch("exact PBH limited to small models")
     a, _, c = ssm.evaluate_exact(model, binding)
@@ -220,7 +190,7 @@ class MinimalRealization:
 
     @property
     def order(self) -> int:
-        return self.diagnostics.get("order", len(self.b_min))
+        return self.diagnostics["order"]
 
 
 def spt_minimal(

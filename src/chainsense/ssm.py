@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .accessible import AccessibleSet, SensorConfig, generate
+from .accessible import SensorConfig, generate
 from .errors import InadmissibleConfig, NumericFailure
 from .pauli import HamiltonianSpec
 
@@ -41,7 +41,6 @@ class StateSpaceModel:
     """Parametrised (A, B, C) triple tied to an accessible set."""
 
     config: SensorConfig
-    aset: AccessibleSet
     ham: HamiltonianSpec
     dim: int
     a_entries: tuple[AEntry, ...]
@@ -69,11 +68,6 @@ def check_binding(model: StateSpaceModel, binding: Binding) -> None:
     for name, value in binding.items():
         if not math.isfinite(value):
             raise InadmissibleConfig(f"coupling {name} = {value} is not finite")
-
-
-def is_atypical(binding: Binding) -> bool:
-    """True if any coupling is bound to zero (excluded, measure-zero case)."""
-    return any(v == 0 for v in binding.values())
 
 
 def build(config: SensorConfig) -> StateSpaceModel:
@@ -109,7 +103,6 @@ def build(config: SensorConfig) -> StateSpaceModel:
     order = sorted(entries)
     return StateSpaceModel(
         config=config,
-        aset=aset,
         ham=config.hamiltonian(),
         dim=dim,
         a_entries=tuple(entries[k] for k in order),

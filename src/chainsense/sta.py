@@ -24,12 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact, realization, ssm
-from .errors import (
-    AtypicalParameters,
-    BudgetExceeded,
-    DimensionMismatch,
-    NumericFailure,
-)
+from .errors import AtypicalParameters, NumericFailure
 from .prng import rational_binding, spawn_rng
 from .ssm import StateSpaceModel
 
@@ -38,7 +33,6 @@ INEQUIV_RESIDUAL = 1e-4
 DET_THRESHOLD = 1e-6
 #: largest relative gap allowed between the float and the exact reduction
 REFEREE_TOLERANCE = 1e-9
-SIGN_ORBIT_CAP = 20
 #: sign patterns checked per scan trial; more flippable couplings than
 #: log2 of this are sampled instead of enumerated
 MAX_SIGN_PATTERNS = 8
@@ -47,8 +41,6 @@ MAX_SIGN_PATTERNS = 8
 @dataclass
 class STAInstance:
     dim: int
-    binding_h: dict
-    binding_h_prime: dict
     residual: float
     #: 0 when the certificate is unique; otherwise the Krylov directions
     #: it could not pin down
@@ -96,9 +88,8 @@ def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
     for i, reached in enumerate(steps):
         if reached < n:
             out.append(STAInstance(
-                dim=n, binding_h={}, binding_h_prime={}, residual=float("inf"),
-                affine_dim=n - int(reached), s_matrix=None, det_s=0.0,
-                verdict="degenerate",
+                dim=n, residual=float("inf"), affine_dim=n - int(reached),
+                s_matrix=None, det_s=0.0, verdict="degenerate",
                 diagnostics={"breakdown_step": int(reached), "scale": scale},
             ))
             continue
@@ -112,8 +103,6 @@ def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
             verdict = "degenerate"
         out.append(STAInstance(
             dim=n,
-            binding_h={},
-            binding_h_prime={},
             residual=residual,
             affine_dim=0,
             s_matrix=s[i] if verdict == "equivalent" else None,
@@ -122,26 +111,6 @@ def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
             diagnostics={"s_fro": float(s_fros[i]), "scale": scale},
         ))
     return out[0] if a_hp.ndim == 2 else out
-
-
-def solve_similarity(
-    model: StateSpaceModel, binding_h, binding_h_prime
-) -> STAInstance:
-    """STA solve on a catalog model; requires minimality at both bindings."""
-    for binding in (binding_h, binding_h_prime):
-        real = realization.kalman_minimal(model, binding)
-        if real.order != model.dim:
-            raise DimensionMismatch(
-                f"model of dim {model.dim} is minimal only to order {real.order} "
-                "at this binding; reduce with realization.spt_minimal or "
-                "realization.kalman_minimal first"
-            )
-    a_h, b, c = ssm.evaluate(model, binding_h)
-    a_hp, _, _ = ssm.evaluate(model, binding_h_prime)
-    inst = solve_similarity_raw(a_h, a_hp, b, c)
-    inst.binding_h = dict(binding_h)
-    inst.binding_h_prime = dict(binding_h_prime)
-    return inst
 
 
 def solve_similarity_exact(a_h, a_hp, x0, c) -> STAInstance:
@@ -158,9 +127,8 @@ def solve_similarity_exact(a_h, a_hp, x0, c) -> STAInstance:
         s = exact.matmul(k_hp, exact.inverse(k_h))
     except AtypicalParameters:
         return STAInstance(
-            dim=n, binding_h={}, binding_h_prime={}, residual=float("inf"),
-            affine_dim=n - exact.rank(k_h), s_matrix=None, det_s=0.0,
-            verdict="degenerate",
+            dim=n, residual=float("inf"), affine_dim=n - exact.rank(k_h),
+            s_matrix=None, det_s=0.0, verdict="degenerate",
         )
     sa = exact.matmul(s, a_h)
     as_ = exact.matmul(a_hp, s)
@@ -172,25 +140,13 @@ def solve_similarity_exact(a_h, a_hp, x0, c) -> STAInstance:
     else:
         verdict = "equivalent" if d != 0 else "degenerate"
     return STAInstance(
-        dim=n, binding_h={}, binding_h_prime={},
-        residual=math.sqrt(sum(g * g for g in gaps)), affine_dim=0,
+        dim=n, residual=math.sqrt(sum(g * g for g in gaps)), affine_dim=0,
         s_matrix=np.array(exact.to_floats(s)) if verdict == "equivalent" else None,
         det_s=float(d), verdict=verdict,
     )
 
 
-# -- sign orbits ------------------------------------------------------------
-
-
-def sign_orbit(binding: dict) -> list[dict]:
-    """All sign patterns of the binding (2^k members, k capped at 20)."""
-    params = sorted(binding)
-    if len(params) > SIGN_ORBIT_CAP:
-        raise BudgetExceeded(f"sign orbit over {len(params)} parameters")
-    out = []
-    for pattern in itertools.product((1, -1), repeat=len(params)):
-        out.append({p: eps * binding[p] for p, eps in zip(params, pattern)})
-    return out
+# -- sign flips -------------------------------------------------------------
 
 
 def flip_binding(binding: dict, flip_params) -> dict:

@@ -26,7 +26,6 @@ from .transfer import (
     markov_from_transfer,
     minimal_denominator_exact,
     model_ring,
-    numeric_denominator,
     symbolic_markov,
     symbolic_transfer,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "markov_from_transfer",
     "minimal_denominator_exact",
     "model_ring",
-    "numeric_denominator",
     "parse",
     "rational_roots",
     "reduce_poly",

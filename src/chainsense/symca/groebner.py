@@ -7,6 +7,7 @@ S-polynomial sweep over the returned basis (asserted, not assumed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -239,9 +240,7 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         coeffs.pop()
     if len(coeffs) <= 1:
         return []
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // _gcd_int(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     while ints and ints[0] == 0:
         ints.pop(0)
@@ -258,12 +257,6 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
                 if _poly_eval(coeffs, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def _divisors(n: int) -> list[int]:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .. import exact, ssm
 from ..errors import BudgetExceeded, DimensionMismatch, NumericFailure
 from ..ssm import StateSpaceModel
@@ -226,9 +224,3 @@ def cube_equations(v1: Fraction, v2: Fraction, v3: Fraction) -> tuple[PolyRing, 
     )
     eq3 = (t1 * t1 + t2 + t3) * Fraction(11) - c(v3)
     return ring, [eq1, eq2, eq3]
-
-
-def numeric_denominator(model: StateSpaceModel, binding: dict) -> np.ndarray:
-    """Float characteristic polynomial of A at a binding (descending powers)."""
-    a, _, _ = ssm.evaluate(model, binding)
-    return np.poly(a)

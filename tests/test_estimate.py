@@ -141,16 +141,6 @@ def test_record_deterministic_per_seed():
     assert not np.array_equal(rec1.values, rec3.values)
 
 
-def test_record_quantum_source_agrees():
-    cfg = ladder_cfg(2)
-    binding = {"ha": 0.9, "hb": -0.7, "h1": 1.2}
-    model = ssm.build(cfg)
-    dt = safe_dt(model, binding)
-    rec_m = estimate.simulate_record(model, binding, dt, 25)
-    rec_q = estimate.simulate_record(model, binding, dt, 25, source="quantum")
-    assert np.max(np.abs(rec_m.values - rec_q.values)) < 1e-8
-
-
 def test_record_rejects_coarse_sampling():
     cfg = ladder_cfg(2)
     binding = {"ha": 1.0, "hb": 1.0, "h1": 1.0}

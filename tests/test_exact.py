@@ -64,12 +64,6 @@ def test_nullspace():
             assert all(x == 0 for x in exact.matvec(m, v))
 
 
-def test_from_floats_round_trip():
-    m = [[0.5, -0.25], [1.5, 2.0]]
-    f = exact.from_floats(m)
-    assert f == [[Fraction(1, 2), Fraction(-1, 4)], [Fraction(3, 2), Fraction(2)]]
-
-
 def test_solve_general_consistent_and_not():
     from chainsense.exact import matvec, solve_general
 

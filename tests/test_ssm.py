@@ -300,8 +300,3 @@ def test_build_takes_each_commutator_once(config, monkeypatch):
     model = ssm.build(config)
     assert len(expanded) == model.dim
     assert len(set(expanded)) == model.dim
-
-
-def test_atypical_binding_detection():
-    assert ssm.is_atypical({"ha": 1.0, "hb": 0.0})
-    assert not ssm.is_atypical({"ha": 1.0, "hb": -0.5})
