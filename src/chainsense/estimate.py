@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import ssm
 from .accessible import SensorConfig
@@ -355,22 +354,26 @@ def era(
             "realized state matrix is not finite; the record's values are "
             "out of working range"
         )
-    if np.linalg.cond(a_hat) > 1 / np.finfo(float).eps:
-        # e^{A dt} is never singular, and logm can stall on one that is
+    eps = np.finfo(float).eps
+    if np.linalg.cond(a_hat) > 1 / eps:
+        # e^{A dt} is never singular, and log 0 has no value
         raise NumericFailure(
             "realized state matrix is singular, so it is no matrix "
             "exponential; the record's values are out of working range"
         )
     b_hat = root * vn[0, :]
     c_hat = un[0, :] * root
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_a = scipy.linalg.logm(a_hat)
-    except ValueError:  # an extreme a_hat overflows inside logm
+    # a_hat is similar to the orthogonal e^{A dt}, so its eigenbasis is well
+    # conditioned and V diag(log lambda) V^-1 is its principal logarithm
+    lam, v = np.linalg.eig(a_hat)
+    eigvec_cond = float(np.linalg.cond(v))
+    diagnostics["eigvec_cond"] = eigvec_cond
+    if not eigvec_cond * eps <= FIT_RELATIVE:
         raise NumericFailure(
-            "matrix logarithm failed; the record's values are out of "
-            "working range"
-        ) from None
+            f"matrix logarithm failed: eigenvector condition "
+            f"{eigvec_cond:.3e}; the record's values are out of working range"
+        )
+    log_a = np.linalg.solve(v.T, (v * np.log(lam.astype(complex))).T).T
     if np.max(np.abs(np.imag(log_a))) > 1e-8 * max(1.0, np.max(np.abs(log_a))):
         raise NumericFailure(
             "matrix logarithm came back complex; sampling likely crossed "

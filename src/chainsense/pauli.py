@@ -69,15 +69,6 @@ class PauliString:
         return _LETTERS[((self.x_mask >> qubit) & 1, (self.z_mask >> qubit) & 1)]
 
     @property
-    def support(self) -> int:
-        """Mask of non-identity sites."""
-        return self.x_mask | self.z_mask
-
-    @property
-    def is_identity(self) -> bool:
-        return self.support == 0
-
-    @property
     def is_hermitian(self) -> bool:
         return self.phase_exp % 2 == 0
 
@@ -102,10 +93,6 @@ class PauliString:
 
     def _n_y(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
-
-
-def identity(n_qubits: int) -> PauliString:
-    return PauliString(n_qubits, 0, 0, 0)
 
 
 def from_letters(n_qubits: int, letters: dict[int, str], phase_exp: int = 0) -> PauliString:
@@ -335,7 +322,6 @@ class InitialState:
 
     n_qubits: int
     prepared_x: frozenset[int]
-    label: str = ""
 
     def __post_init__(self):
         for q in self.prepared_x:
@@ -359,7 +345,7 @@ def initial_state(label: str, n_qubits: int, sensor_qubits: int = 2) -> InitialS
         raise InadmissibleConfig(
             f"no initial state {label!r} for a {sensor_qubits}-qubit sensor"
         ) from None
-    return InitialState(n_qubits, frozenset(qubits), label)
+    return InitialState(n_qubits, frozenset(qubits))
 
 
 def expectation(p: PauliString, state: InitialState) -> Fraction:

@@ -51,9 +51,6 @@ class StateSpaceModel:
     def param_ids(self) -> tuple[str, ...]:
         return self.ham.param_ids
 
-    def entry_map(self) -> dict[tuple[int, int], tuple[str, int]]:
-        return {(e.row, e.col): (e.param_id, e.sign) for e in self.a_entries}
-
 
 def check_binding(model: StateSpaceModel, binding: Binding) -> None:
     """Refuse a binding that does not give every coupling of the model, and

@@ -386,14 +386,13 @@ CUBE1_FLAGS = ["--measurement", "YaZb", "--n-chain", "1",
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:The logm input matrix is exactly singular")
 @pytest.mark.parametrize("flags,row,value,reason", [
-    # N = 2: on the N = 1 cube this record realizes order 19 > dim 9, which
-    # is refused before logm runs
+    # N = 2: its realized eigenbasis has condition 5.9e14 (on the N = 1
+    # cube this record realizes order 19 > dim 9, which is refused first)
     (CUBE_FLAGS, 20, "1e100", "matrix logarithm failed"),
     # row 3: row 4 realizes order 5 > dim 4, which is refused first
     (LADDER2_FLAGS, 3, "1e100", "singular"),
-    (LADDER2_FLAGS, 2, "1e308", "singular"),  # logm would not return
+    (LADDER2_FLAGS, 2, "1e308", "singular"),  # near the float limit
 ], ids=["logm-error", "singular", "singular-stall"])
 def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
                                                     row, value, reason):
@@ -418,7 +417,7 @@ def test_estimate_refuses_order_above_model_dimension(tmp_path, capsys, flags,
     body[25][1] = value
     rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # refused before logm can warn
+        warnings.simplefilter("error")  # refused before any arithmetic warns
         code, out, err = run_cli(
             ["estimate", *flags, "--record", str(rec_path)], capsys)
     assert code == 4 and out == ""
@@ -821,17 +820,21 @@ def test_benchmark_designated_functions_exist():
 # -- module entry point --------------------------------------------------------
 
 
+def source_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_python_m_chainsense_matches_in_process_main(tmp_path, capsys):
     argv = ["analyze", "--measurement", "ZaYb", "--n-chain", "3"]
     in_process = tmp_path / "in_process.json"
     assert run_cli([*argv, "--report", str(in_process)], capsys)[0] == 0
     module = tmp_path / "module.json"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
         [sys.executable, "-m", "chainsense", *argv, "--report", str(module)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=source_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert module.read_bytes() == in_process.read_bytes()
 
@@ -839,3 +842,29 @@ def test_python_m_chainsense_matches_in_process_main(tmp_path, capsys):
 def test_importing_the_entry_module_runs_nothing(capsys):
     importlib.import_module("chainsense.__main__")
     assert capsys.readouterr() == ("", "")
+
+
+NO_SCIPY_RUN = """
+import sys
+from chainsense import cli
+
+record, flag_sets = sys.argv[1], sys.argv[2:]
+for flags in flag_sets:
+    flags = flags.split()
+    for argv in (["simulate", *flags, "--record", record],
+                 ["estimate", *flags, "--record", record],
+                 ["analyze", *flags], ["oracle-check", *flags]):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # scipy is a test dependency only; importing it costs every command
+    # about a quarter of a second
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path / "rec.csv"),
+         " ".join(LADDER2_FLAGS), " ".join(CUBE1_FLAGS)],
+        env=source_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

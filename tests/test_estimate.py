@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chainsense import estimate, ssm
 from chainsense.accessible import SensorConfig
@@ -300,6 +301,37 @@ def test_era_continuous_generator_matches_spectrum():
     # the spectrum is purely imaginary, so compare along that axis
     assert np.max(np.abs(got.real)) < 1e-8
     assert np.max(np.abs(np.sort(got.imag) - np.sort(want.imag))) < 1e-8
+
+
+@pytest.mark.parametrize("cfg,sigma", [
+    *[pytest.param(ladder_cfg(n), 1e-4, id=f"ladder-N{n}")
+      for n in range(2, 17)],
+    *[pytest.param(cube_cfg(n), 1e-3, id=f"cube-N{n}") for n in (1, 2)],
+])
+def test_era_logarithm_matches_scipy_logm(cfg, sigma):
+    # scipy's inverse scaling and squaring referees the eigenvalue route;
+    # a noisy record that ERA does not realize (no gap, or a realization
+    # that misses the record) has no a_hat to compare
+    model = ssm.build(cfg)
+    compared = 0
+    for seed in range(5):
+        binding = random_binding(model.param_ids, spawn_rng(seed, "era-logm"))
+        for noise in (0.0, sigma):
+            record = make_record(cfg, binding, 400, noise, seed)
+            try:
+                real = estimate.era(record, max_order=model.dim)
+            except NumericFailure as exc:
+                assert noise and "does not reproduce" in str(exc)
+                continue
+            if real.verdict != "ok":
+                assert noise
+                continue
+            want = scipy.linalg.logm(real.a_hat)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(real.a_cont * real.dt - want)) <= 1e-13 * scale
+            assert real.diagnostics["eigvec_cond"] <= 100
+            compared += 1
+    assert compared >= 5
 
 
 def test_era_singular_values_descending():

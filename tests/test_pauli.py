@@ -29,7 +29,6 @@ from chainsense.pauli import (
     format_string,
     from_letters,
     heisenberg_derivative,
-    identity,
     initial_state,
     multiply,
     parse_string,
@@ -59,7 +58,7 @@ def test_single_qubit_relations():
     assert multiply(y, x) == PauliString(1, 0, 1, 3)  # YX = -iZ
     assert multiply(y, z) == PauliString(1, 1, 0, 1)  # YZ = iX
     assert multiply(z, x) == PauliString(1, 1, 1, 1)  # ZX = iY
-    assert multiply(x, x) == identity(1)
+    assert multiply(x, x) == PauliString(1, 0, 0)
 
 
 def test_two_qubit_example():
@@ -75,7 +74,7 @@ def test_self_product_is_signed_identity():
     for _ in range(50):
         p = random_string(rng, 5)
         sq = multiply(p, p)
-        assert sq.is_identity
+        assert sq.x_mask == sq.z_mask == 0
         assert sq.phase_exp in (0, 2)
 
 
@@ -126,7 +125,7 @@ def test_basic_commutator():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        multiply(identity(2), identity(3))
+        multiply(PauliString(2, 0, 0), PauliString(3, 0, 0))
     with pytest.raises(DimensionMismatch):
         PauliString(2, 5, 0, 0)
     with pytest.raises(DimensionMismatch):
@@ -139,7 +138,7 @@ def test_text_round_trip():
         p = random_string(rng, 6)
         text = format_string(p)
         assert parse_string(text, 6) == p
-    assert format_string(identity(3)) == "I"
+    assert format_string(PauliString(3, 0, 0)) == "I"
     assert parse_string("Za Yb X1", 4) == from_letters(4, {0: "Z", 1: "Y", 2: "X"})
     # single-qubit sensor labels
     assert parse_string("Zb X1", 3, sensor_qubits=1) == from_letters(3, {0: "Z", 1: "X"})
@@ -195,7 +194,7 @@ def test_derivative_of_outer_sensor_x():
 
 def test_derivative_of_identity_is_empty():
     h = chain_hamiltonian(2)
-    assert heisenberg_derivative(h, identity(h.n_qubits)) == []
+    assert heisenberg_derivative(h, PauliString(h.n_qubits, 0, 0)) == []
 
 
 def test_derivative_coefficients_are_unit():
@@ -294,7 +293,7 @@ def test_expectation_rules():
     assert expectation(parse_string("Xa", 4), state) == 1
     assert expectation(parse_string("Ya", 4), state) == 0
     assert expectation(parse_string("Za Yb", 4), state) == 0
-    assert expectation(identity(4), state) == 1
+    assert expectation(PauliString(4, 0, 0), state) == 1
     assert expectation(parse_string("X1", 4), state) == 0
     both = initial_state("xaxb", 4)
     assert expectation(parse_string("Xa Xb", 4), both) == 1
@@ -328,7 +327,7 @@ def test_expectation_values_in_range():
 
 def test_oracle_size_cap():
     with pytest.raises(OracleSizeLimit):
-        dense_matrix(identity(15))
+        dense_matrix(PauliString(15, 0, 0))
     big = chain_hamiltonian(14)  # 16 qubits
     with pytest.raises(OracleSizeLimit):
         dense_hamiltonian(big, {pid: 1.0 for pid in big.param_ids})

@@ -45,6 +45,11 @@ def all_schemes(n_chain):
             yield SensorConfig(n_chain, sensors, label, ini)
 
 
+def entry_map(model):
+    """{(row, col): (coupling, sign)} of the model's A entries."""
+    return {(e.row, e.col): (e.param_id, e.sign) for e in model.a_entries}
+
+
 # -- structure --------------------------------------------------------------
 
 
@@ -57,7 +62,7 @@ def test_ladder_matrix_is_signed_tridiagonal():
     for k, pid in enumerate(params):
         expected[(k, k + 1)] = (pid, 1)
         expected[(k + 1, k)] = (pid, -1)
-    assert model.entry_map() == expected
+    assert entry_map(model) == expected
     assert model.b == (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     assert model.c == (Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
@@ -70,7 +75,7 @@ def test_single_qubit_yb_matrix_is_signed_tridiagonal():
     for k, pid in enumerate(["hb", "h1", "h2"]):
         expected[(k, k + 1)] = (pid, 1)
         expected[(k + 1, k)] = (pid, -1)
-    assert model.entry_map() == expected
+    assert entry_map(model) == expected
     # Yb itself has zero expectation in the +x product state
     assert model.b == (Fraction(0),) * 4
     assert model.c[0] == Fraction(1)
@@ -80,7 +85,7 @@ def test_cube_pinned_entries_and_vectors():
     cfg = SensorConfig(2, 2, "YaZb", "xb")
     model = ssm.build(cfg)
     assert model.dim == 24
-    em = model.entry_map()
+    em = entry_map(model)
     assert em[(0, 1)] == ("ha", -1)
     assert em[(1, 0)] == ("ha", 1)
     # B reads the Xb expectation (basis position 1), C the YaZb position (0)
@@ -94,7 +99,7 @@ def test_cube_pinned_entries_and_vectors():
 def test_antisymmetry_everywhere(n_chain):
     for cfg in all_schemes(n_chain):
         model = ssm.build(cfg)
-        em = model.entry_map()
+        em = entry_map(model)
         for (i, j), (pid, sign) in em.items():
             assert em[(j, i)] == (pid, -sign)
         rng = spawn_rng(5, "antisym", cfg.scheme_tag, str(n_chain))
