@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InadmissibleConfig
 from .pauli import (
@@ -120,7 +119,7 @@ class SensorConfig:
 
 
 #: one term of i[H, o]: (param_id, coefficient, phase-0 string)
-Term = tuple[str, Fraction, PauliString]
+Term = tuple[str, int, PauliString]
 
 
 def closure(
@@ -226,7 +225,7 @@ class AccessibleSet:
     def __contains__(self, string: PauliString) -> bool:
         return string.key() in self._index
 
-    def signed_expectations(self, state: InitialState) -> list[Fraction]:
+    def signed_expectations(self, state: InitialState) -> list[int]:
         return [sign * expectation(s, state) for sign, s in self.basis]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -184,11 +185,21 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                     f"--set {item!r}: {raw!r} is not a number"
                 ) from None
         run.h_values = values
+    for name, value in (run.h_values or {}).items():
+        if not math.isfinite(value):
+            raise InadmissibleConfig(f"coupling {name} = {value} is not finite")
     return run
 
 
 def auto_dt(model: ssm.StateSpaceModel, binding: dict[str, float]) -> float:
-    return 0.8 * estimate.BRANCH_SAFETY / ssm.spectral_bound(model, binding)
+    bound = ssm.spectral_bound(model, binding)
+    dt = 0.8 * estimate.BRANCH_SAFETY / bound if bound else math.inf
+    if not math.isfinite(dt):
+        raise InadmissibleConfig(
+            f"the couplings (spectral bound {bound!r}) are too small to set "
+            "a sampling interval; give one with --dt"
+        )
+    return dt
 
 
 # -- reports -----------------------------------------------------------------

@@ -629,28 +629,39 @@ def _realized_markov(real: ERARealization, count: int) -> list[float]:
     return markov
 
 
+def _cube_theta(v1: Fraction, v2: Fraction, v3: Fraction):
+    """(t1, t2, t3) = (h_alpha, h_beta^2, h_1^2) from the cube's N = 2
+    invariants, or None when v1 = 0 or a square comes out negative.
+
+    The pinned system of ``symca.cube_equations`` is triangular; these are
+    its closed forms (acceptance 07).
+    """
+    if v1 == 0:
+        return None
+    t2 = (-v1 ** 3 + v1 * v3 - v2) / (4 * v1)
+    t3 = (-33 * v1 ** 3 - 7 * v1 * v3 + 11 * v2) / (44 * v1)
+    return None if t2 < 0 or t3 < 0 else (v1, t2, t3)
+
+
 def _cube_denominator_route(real, markov, magnitudes) -> dict:
     """Cross-check: the order-12 characteristic polynomial route.
 
     Generic bindings realize the full order 12, where the s^10 coefficient
     v3 plus the first and third Markov parameters pin the same three
-    parameters through the pinned elimination system.
+    parameters in closed form.
     """
-    from .symca import cube_equations
-
     char = np.poly(real.a_cont)
     v1 = Fraction(float(-markov[1]))
     v3 = Fraction(float(char[2]))
     v2 = -(Fraction(float(markov[3])) + v3 * Fraction(float(markov[1])))
-    _, eqs = cube_equations(v1, v2, v3)
-    solved = solve_identifiability(eqs, square_vars=("t2", "t3"))
-    if solved.verdict != "unique":
-        return {"agrees": False, "verdict": solved.verdict}
-    theta = solved.solutions[0]
+    theta = _cube_theta(v1, v2, v3)
+    if theta is None:
+        return {"agrees": False}
+    t1, t2, t3 = theta
     alt = {
-        "ha": abs(float(theta["t1"])),
-        "hb": math.sqrt(float(theta["t2"])),
-        "h1": math.sqrt(float(theta["t3"])),
+        "ha": abs(float(t1)),
+        "hb": math.sqrt(float(t2)),
+        "h1": math.sqrt(float(t3)),
     }
     worst = max(abs(alt[k] - magnitudes[k]) for k in alt)
     return {"agrees": worst < 1e-6, "worst_gap": worst, "magnitudes": alt}

@@ -8,7 +8,7 @@ the first sensor qubit.  The letter at a site is read from the mask pair:
 Internally a string means ``i**phase_exp`` times the tensor product of its
 letters.  Hermitian strings therefore have ``phase_exp`` in {0, 2}; the
 accessible-set machinery keeps basis elements in the sign-stripped form
-(phase 0) and carries signs separately.
+(phase 0) and carries signs separately, as plain ``int`` coefficients.
 
 The helpers at the bottom act on the computational basis for the quantum
 oracle: a string sends a basis state to one signed basis state, and H is
@@ -21,7 +21,6 @@ above 14 qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -136,19 +135,6 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return anti % 2 == 0
 
 
-def commutator(p: PauliString, q: PauliString) -> tuple[int, PauliString] | None:
-    """[p, q] as (2, p*q), or None when the strings commute.
-
-    For anticommuting Pauli strings [p, q] = 2 p q; the integer 2 is
-    returned explicitly so the caller never forgets it.
-    """
-    if p.n_qubits != q.n_qubits:
-        raise DimensionMismatch(f"{p.n_qubits} vs {q.n_qubits} qubits")
-    if commutes(p, q):
-        return None
-    return 2, multiply(p, q)
-
-
 # -- text form --------------------------------------------------------------
 
 _PHASE_PREFIX = {0: "", 1: "i ", 2: "- ", 3: "-i "}
@@ -210,18 +196,22 @@ def parse_string(text: str, n_qubits: int, sensor_qubits: int = 2) -> PauliStrin
 # -- Hamiltonians -----------------------------------------------------------
 
 
+#: the exchange coupling's prefactor: each bond contributes h/2 (XX + YY)
+EXCHANGE_PREFACTOR = 0.5
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Exchange-coupling Hamiltonian as a parametrised Pauli-term list.
 
-    Each term is (param_id, prefactor, string); the operator is
-    sum_k binding[param_id_k] * prefactor_k * string_k.
+    Each term is (param_id, string); the operator is
+    sum_k binding[param_id_k] * EXCHANGE_PREFACTOR * string_k.
     """
 
     n_qubits: int
     sensor_qubits: int
     n_chain: int
-    terms: tuple[tuple[str, Fraction, PauliString], ...]
+    terms: tuple[tuple[str, PauliString], ...]
     param_ids: tuple[str, ...]
 
 
@@ -245,23 +235,22 @@ def chain_hamiltonian(n_chain: int, sensor_qubits: int = 2) -> HamiltonianSpec:
     if sensor_qubits not in (1, 2):
         raise InadmissibleConfig("sensor has 1 or 2 qubits")
     n = sensor_qubits + n_chain
-    half = Fraction(1, 2)
-    terms: list[tuple[str, Fraction, PauliString]] = []
+    terms: list[tuple[str, PauliString]] = []
     params: list[str] = []
     if sensor_qubits == 2:
         xx, yy = _exchange_term(n, 0, 1)
-        terms += [("ha", half, xx), ("ha", half, yy)]
+        terms += [("ha", xx), ("ha", yy)]
         params.append("ha")
     # inner sensor qubit to chain site 1
     b = sensor_qubits - 1
     xx, yy = _exchange_term(n, b, b + 1)
-    terms += [("hb", half, xx), ("hb", half, yy)]
+    terms += [("hb", xx), ("hb", yy)]
     params.append("hb")
     for k in range(1, n_chain):
         i = sensor_qubits - 1 + k
         xx, yy = _exchange_term(n, i, i + 1)
         pid = f"h{k}"
-        terms += [(pid, half, xx), (pid, half, yy)]
+        terms += [(pid, xx), (pid, yy)]
         params.append(pid)
     return HamiltonianSpec(
         n_qubits=n,
@@ -274,43 +263,34 @@ def chain_hamiltonian(n_chain: int, sensor_qubits: int = 2) -> HamiltonianSpec:
 
 def heisenberg_derivative(
     h: HamiltonianSpec, o: PauliString
-) -> list[tuple[str, Fraction, PauliString]]:
+) -> list[tuple[str, int, PauliString]]:
     """Expand i[H, o] as [(param_id, coefficient, phase-0 string), ...].
 
-    ``o`` must be hermitian.  Each output string is sign-stripped; its sign
-    is folded into the (rational) coefficient.  For the exchange model every
-    surviving entry has coefficient +-1 times one parameter, but the merge
-    is done generically.
+    ``o`` must be hermitian.  A term P anticommutes with ``o`` or drops
+    out; when it anticommutes, [P, o] = 2 P o, so the prefactor 1/2 cancels
+    and i[P/2, o] = i P o = +-(P o with its phase stripped).  The sign is
+    the ``int`` coefficient; terms that land on the same string are summed
+    in the order they first appear.
     """
+    if o.n_qubits != h.n_qubits:
+        raise DimensionMismatch(f"{h.n_qubits} vs {o.n_qubits} qubits")
     if not o.is_hermitian:
         raise NonHermitianOperator("Heisenberg derivative of a non-hermitian string")
-    acc: dict[tuple[str, int, int], Fraction] = {}
-    order: list[tuple[str, int, int]] = []
-    for pid, pref, term in h.terms:
-        c = commutator(term, o)
-        if c is None:
+    acc: dict[tuple[str, int, int], int] = {}
+    for pid, term in h.terms:
+        if commutes(term, o):
             continue
-        two, prod = c
-        # i * [term, o] = i * 2 * prod; hermitian iff phase+1 is even
-        phase = (prod.phase_exp + 1) % 4
-        if phase == 0:
-            sign = 1
-        elif phase == 2:
-            sign = -1
-        else:  # pragma: no cover - impossible for hermitian inputs
-            raise NonHermitianOperator("commutator lost hermiticity")
-        coeff = pref * two * sign
+        prod = multiply(term, o)
+        # P o is antihermitian, so i P o has phase 0 (sign +1) or 2 (-1)
+        if prod.is_hermitian:
+            raise NonHermitianOperator("Hamiltonian term is not hermitian")
         key = (pid, prod.x_mask, prod.z_mask)
-        if key not in acc:
-            acc[key] = Fraction(0)
-            order.append(key)
-        acc[key] += coeff
-    out = []
-    for key in order:
-        if acc[key] != 0:
-            pid, x, z = key
-            out.append((pid, acc[key], PauliString(o.n_qubits, x, z, 0)))
-    return out
+        acc[key] = acc.get(key, 0) + (1 if prod.phase_exp == 3 else -1)
+    return [
+        (pid, coeff, PauliString(o.n_qubits, x, z, 0))
+        for (pid, x, z), coeff in acc.items()
+        if coeff
+    ]
 
 
 # -- initial states ---------------------------------------------------------
@@ -348,7 +328,7 @@ def initial_state(label: str, n_qubits: int, sensor_qubits: int = 2) -> InitialS
     return InitialState(n_qubits, frozenset(qubits))
 
 
-def expectation(p: PauliString, state: InitialState) -> Fraction:
+def expectation(p: PauliString, state: InitialState) -> int:
     """Tr(p rho) for a product state of X-prepared and maximally mixed sites.
 
     Exact by the product rule: I contributes 1, X on a prepared site 1,
@@ -363,8 +343,8 @@ def expectation(p: PauliString, state: InitialState) -> Fraction:
             continue
         if q in state.prepared_x and letter == "X":
             continue
-        return Fraction(0)
-    return Fraction(sign)
+        return 0
+    return sign
 
 
 # -- computational basis and dense oracles -----------------------------------
@@ -452,9 +432,9 @@ def dense_hamiltonian(
     # terms with one X mask send each state to the same target, so their
     # amplitudes are summed before they are placed
     amplitudes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for pid, pref, term in h.terms:
+    for pid, term in h.terms:
         targets, signs, phase = basis_action(term, states)
-        value = float(binding[pid]) * float(pref) * phase * signs
+        value = float(binding[pid]) * EXCHANGE_PREFACTOR * phase * signs
         if term.x_mask in amplitudes:
             value = amplitudes[term.x_mask][1] + value
         amplitudes[term.x_mask] = (targets, value)

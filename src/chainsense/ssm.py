@@ -44,8 +44,8 @@ class StateSpaceModel:
     ham: HamiltonianSpec
     dim: int
     a_entries: tuple[AEntry, ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
 
     @property
     def param_ids(self) -> tuple[str, ...]:
@@ -87,16 +87,16 @@ def build(config: SensorConfig) -> StateSpaceModel:
                 )
             if (i, j) in entries:
                 raise InadmissibleConfig(f"two parameters map to entry ({i},{j})")
-            entries[(i, j)] = AEntry(i, j, pid, int(total))
+            entries[(i, j)] = AEntry(i, j, pid, total)
     for (i, j), e in entries.items():
         partner = entries.get((j, i))
         if partner is None or partner.param_id != e.param_id or partner.sign != -e.sign:
             raise InadmissibleConfig(f"A is not antisymmetric at ({i},{j})")
     b = tuple(aset.signed_expectations(config.initial_state()))
     m = config.measurement_string()
-    c = [Fraction(0)] * dim
+    c = [0] * dim
     pos = aset.position(m)
-    c[pos] = Fraction(aset.basis[pos][0])
+    c[pos] = aset.basis[pos][0]
     order = sorted(entries)
     return StateSpaceModel(
         config=config,
@@ -122,8 +122,8 @@ def evaluate(model: StateSpaceModel, binding: Binding | list[Binding]):
         value = {p: float(bound[p]) for p in params}
         for e in model.a_entries:
             a[i, e.row, e.col] = e.sign * value[e.param_id]
-    b = np.array([float(v) for v in model.b])
-    c = np.array([float(v) for v in model.c])
+    b = np.array(model.b, dtype=float)
+    c = np.array(model.c, dtype=float)
     return (a if isinstance(binding, list) else a[0]), b, c
 
 

@@ -30,17 +30,9 @@ def _symbolic_vectors(model: StateSpaceModel, ring: PolyRing):
     a_sparse: list[tuple[int, int, MPoly]] = []
     for entry in model.a_entries:
         var = MPoly.var(ring, entry.param_id)
-        a_sparse.append((entry.row, entry.col, var.scale(Fraction(entry.sign))))
-    def int_vec(values):
-        out = []
-        for v in values:
-            iv = int(round(float(v)))
-            if iv != float(v):
-                raise NumericFailure("structural vector entry is not integral")
-            out.append(MPoly.const(ring, Fraction(iv)))
-        return out
-    b = int_vec(model.b)
-    c = int_vec(model.c)
+        a_sparse.append((entry.row, entry.col, var.scale(entry.sign)))
+    b = [MPoly.const(ring, v) for v in model.b]
+    c = [MPoly.const(ring, v) for v in model.c]
     if len(b) != n or len(c) != n:
         raise DimensionMismatch("B/C length does not match the state dimension")
     return a_sparse, b, c

@@ -242,7 +242,49 @@ def test_simulate_rejects_non_finite_inputs(tmp_path, capsys, flags, named):
     assert not rec_path.exists()
 
 
+@pytest.mark.parametrize("ha", ["0", "1e-320"], ids=["zero", "subnormal"])
+def test_simulate_vanishing_couplings_need_dt(tmp_path, capsys, ha):
+    # no coupling sets a usable time scale, so the default interval is
+    # undefined (zero) or overflows (subnormal)
+    flags = ["--measurement", "ZaYb", "--n-chain", "2",
+             "--set", f"ha={ha}", "--set", "hb=0", "--set", "h1=0"]
+    rec_path = tmp_path / "rec.csv"
+    code, out, err = run_cli(
+        ["simulate", *flags, "--record", str(rec_path)], capsys)
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "give one with --dt" in err
+    assert not rec_path.exists()
+    code, _, _ = run_cli(
+        ["simulate", *flags, "--dt", "0.1", "--count", "8",
+         "--record", str(rec_path)], capsys)
+    assert code == 0
+    record = estimate.record_from_text(rec_path.read_text())
+    assert record.count == 8 and record.dt == 0.1
+    assert np.max(np.abs(record.values)) < 1e-300
+
+
 # -- estimate ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_estimate_refuses_non_finite_truth(tmp_path, capsys, value, source):
+    rec_path = tmp_path / "rec.csv"
+    assert run_cli(["simulate", *CUBE_FLAGS, "--record", str(rec_path)],
+                   capsys)[0] == 0
+    report = tmp_path / "report.json"
+    argv = ["estimate", "--measurement", "YaZb", "--n-chain", "2",
+            "--record", str(rec_path), "--report", str(report)]
+    if source == "flag":
+        argv += ["--set", "ha=1.0", "--set", f"hb={value}"]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"[truth]\nha = 1.0\nhb = {value}\n")
+        argv += ["--config", str(cfg_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "coupling hb" in err and "finite" in err
+    assert not report.exists()
 
 
 def test_estimate_cube_round_trip(tmp_path, capsys):

@@ -9,6 +9,7 @@ truth (1, 0.8, 0.6), where only the realization-invariant route works.
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from chainsense.errors import (
 )
 from chainsense.pauli import HamiltonianSpec
 from chainsense.prng import random_binding, spawn_rng
+from chainsense.symca import cube_equations, solve_identifiability
 
 
 def ladder_cfg(n):
@@ -98,9 +100,10 @@ def test_oracle_bounded_by_one():
 def test_oracle_refuses_a_hamiltonian_that_leaves_its_sectors():
     cfg = ladder_cfg(1)
     ham = cfg.hamiltonian()
-    xx = next(term for term in ham.terms if term[0] == "hb")  # no YY partner
+    # XX of one bond without its YY partner
+    xx = next(term for pid, term in ham.terms if pid == "hb")
     lone = HamiltonianSpec(ham.n_qubits, ham.sensor_qubits, ham.n_chain,
-                           (xx,), ("hb",))
+                           (("hb", xx),), ("hb",))
     with pytest.raises(InadmissibleConfig, match="outside their span"):
         estimate.exact_quantum_expectation(
             lone, cfg.initial_state(), cfg.measurement_string(), {"hb": 1.0},
@@ -347,8 +350,6 @@ def test_era_singular_values_descending():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_moment_chain_from_exact_markov(n):
-    from fractions import Fraction
-
     model = ssm.build(ladder_cfg(n))
     binding = {"ha": Fraction(-7, 4), "hb": Fraction(5, 3)}
     for i in range(1, n):
@@ -404,6 +405,37 @@ def test_cube_recovery_noiseless_on_collapse_surface():
     for pid, true in binding.items():
         assert abs(out.magnitudes[pid] - abs(true)) < 1e-6
     assert "denominator_route" not in out.diagnostics
+
+
+def _cube_invariants(t1, t2, t3):
+    """(v1, v2, v3) of ``cube_equations`` at theta = (t1, t2, t3)."""
+    return (t1, 10 * t1 ** 3 + 7 * t1 * t2 + 11 * t1 * t3,
+            11 * (t1 ** 2 + t2 + t3))
+
+
+Q = Fraction
+
+
+@pytest.mark.parametrize("v,unique", [
+    (_cube_invariants(Q(1), Q(16, 25), Q(9, 25)), True),
+    (_cube_invariants(Q(-3, 2), Q(4), Q(25, 16)), True),
+    (_cube_invariants(Q(7, 3), Q(0), Q(2, 9)), True),
+    ((Q(5, 7), Q(13, 2), Q(11)), True),
+    (_cube_invariants(Q(1), Q(-1, 4), Q(1)), False),
+    (_cube_invariants(Q(2), Q(1), Q(-1, 9)), False),
+    ((Q(0), Q(0), Q(5)), False),
+    ((Q(0), Q(1), Q(5)), False),
+], ids=["generic", "negative-ha", "zero-square", "raw-invariants",
+        "negative-hb-square", "negative-h1-square", "v1-zero-underdetermined",
+        "v1-zero-inconsistent"])
+def test_cube_closed_forms_match_groebner_solve(v, unique):
+    solved = solve_identifiability(cube_equations(*v)[1],
+                                   square_vars=("t2", "t3"))
+    theta = estimate._cube_theta(*v)
+    assert (theta is not None) is unique
+    assert (solved.verdict == "unique") is unique
+    if unique:
+        assert solved.solutions == [dict(zip(("t1", "t2", "t3"), theta))]
 
 
 def test_cube_recovery_n1():

@@ -1,13 +1,12 @@
 """Bitmask Pauli algebra against the dense Kronecker oracle."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsense import pauli
+from chainsense.accessible import CATALOG, SensorConfig, closure
 from chainsense.errors import (
     DimensionMismatch,
     InadmissibleConfig,
@@ -15,11 +14,11 @@ from chainsense.errors import (
     OracleSizeLimit,
 )
 from chainsense.pauli import (
+    EXCHANGE_PREFACTOR,
     HamiltonianSpec,
     PauliString,
     basis_action,
     chain_hamiltonian,
-    commutator,
     commutes,
     dense_hamiltonian,
     dense_matrix,
@@ -98,28 +97,28 @@ def test_multiply_matches_dense(p, q):
 @settings(max_examples=200, deadline=None)
 @given(strings_3q, strings_3q)
 def test_commutator_matches_dense(p, q):
+    # [p, q] = 2 p q when the strings anticommute, and 0 otherwise
     dense = dense_matrix(p) @ dense_matrix(q) - dense_matrix(q) @ dense_matrix(p)
-    c = commutator(p, q)
-    if c is None:
-        assert commutes(p, q)
+    if commutes(p, q):
         np.testing.assert_allclose(dense, 0, atol=1e-13)
     else:
-        two, prod = c
-        np.testing.assert_allclose(two * dense_matrix(prod), dense, atol=1e-13)
+        np.testing.assert_allclose(
+            2 * dense_matrix(multiply(p, q)), dense, atol=1e-13
+        )
 
 
 def test_disjoint_support_commutes():
     p = from_letters(4, {0: "X", 1: "Y"})
     q = from_letters(4, {2: "Z", 3: "X"})
-    assert commutator(p, q) is None
+    assert commutes(p, q)
 
 
 def test_basic_commutator():
     p = from_letters(2, {0: "X"})
     q = from_letters(2, {0: "Y"})
-    two, prod = commutator(p, q)
-    # [X, Y] = 2iZ
-    assert two == 2
+    # [X, Y] = 2 X Y = 2iZ
+    assert not commutes(p, q)
+    prod = multiply(p, q)
     assert (prod.x_mask, prod.z_mask, prod.phase_exp) == (0, 1, 1)
 
 
@@ -130,6 +129,9 @@ def test_dimension_mismatch():
         PauliString(2, 5, 0, 0)
     with pytest.raises(DimensionMismatch):
         PauliString(0, 0, 0, 0)
+    # every term commutes with Z on a qubit the Hamiltonian does not have
+    with pytest.raises(DimensionMismatch):
+        heisenberg_derivative(chain_hamiltonian(1), from_letters(5, {4: "Z"}))
 
 
 def test_text_round_trip():
@@ -176,6 +178,9 @@ def test_chain_hamiltonian_layout():
     assert h.n_qubits == 5
     assert h.param_ids == ("ha", "hb", "h1", "h2")
     assert len(h.terms) == 8
+    assert [pid for pid, _term in h.terms] == [
+        pid for pid in h.param_ids for _ in range(2)]
+    assert all(isinstance(term, PauliString) for _pid, term in h.terms)
     h1 = chain_hamiltonian(2, sensor_qubits=1)
     assert h1.n_qubits == 3
     assert h1.param_ids == ("hb", "h1")
@@ -192,6 +197,15 @@ def test_derivative_of_outer_sensor_x():
     assert format_string(op) == "Za Yb"
 
 
+def test_derivative_refuses_non_hermitian_term():
+    h = chain_hamiltonian(1)
+    ixx = from_letters(h.n_qubits, {0: "X", 1: "X"}, phase_exp=1)
+    bad = HamiltonianSpec(h.n_qubits, h.sensor_qubits, h.n_chain,
+                          (("ha", ixx),), ("ha",))
+    with pytest.raises(NonHermitianOperator):
+        heisenberg_derivative(bad, parse_string("Za", h.n_qubits))
+
+
 def test_derivative_of_identity_is_empty():
     h = chain_hamiltonian(2)
     assert heisenberg_derivative(h, PauliString(h.n_qubits, 0, 0)) == []
@@ -203,8 +217,20 @@ def test_derivative_coefficients_are_unit():
     for _ in range(40):
         p = random_string(rng, h.n_qubits).positive()
         for pid, coeff, op in heisenberg_derivative(h, p):
-            assert coeff in (Fraction(1), Fraction(-1))
+            assert type(coeff) is int and coeff in (1, -1)
             assert op.phase_exp == 0
+
+
+@pytest.mark.parametrize("n_chain", [1, 2, 3, 4])
+def test_catalog_derivative_coefficients_are_ints(n_chain):
+    # the closure's coefficients reach A unconverted, so they must be
+    # plain ints, not rationals that merely compare equal to +-1
+    for (label, sensor_qubits), initials in CATALOG.items():
+        cfg = SensorConfig(n_chain, sensor_qubits, label, initials[0])
+        _, derivatives = closure(cfg.hamiltonian(), cfg.measurement_string())
+        for terms in derivatives.values():
+            for _pid, coeff, _out in terms:
+                assert type(coeff) is int and coeff in (1, -1)
 
 
 def _hs_coefficient(op_dense, basis_string):
@@ -255,8 +281,10 @@ def test_dense_hamiltonian_blocks_match_kronecker_sum(n_chain, sensor_qubits):
     rng = np.random.default_rng(n_chain)
     binding = {pid: float(rng.normal()) for pid in h.param_ids}
     kron = np.zeros((2**h.n_qubits,) * 2, dtype=complex)
-    for pid, pref, term in h.terms:
-        kron += binding[pid] * float(pref) * dense_matrix(term)
+    # H = sum over bonds of h/2 (XX + YY)
+    assert EXCHANGE_PREFACTOR == 0.5
+    for pid, term in h.terms:
+        kron += binding[pid] * 0.5 * dense_matrix(term)
     full = dense_hamiltonian(h, binding)
     np.testing.assert_array_equal(full, kron)
     sectors = excitation_sectors(h.n_qubits)
@@ -274,9 +302,9 @@ def test_dense_hamiltonian_blocks_match_kronecker_sum(n_chain, sensor_qubits):
 
 def test_lone_exchange_term_leaves_its_sector():
     h = chain_hamiltonian(1)
-    xx = next(term for term in h.terms if term[0] == "hb")
-    lone = HamiltonianSpec(h.n_qubits, h.sensor_qubits, h.n_chain, (xx,),
-                           ("hb",))
+    xx = next(term for pid, term in h.terms if pid == "hb")
+    lone = HamiltonianSpec(h.n_qubits, h.sensor_qubits, h.n_chain,
+                           (("hb", xx),), ("hb",))
     dense_hamiltonian(lone, {"hb": 1.0})  # the whole space is closed
     with pytest.raises(InadmissibleConfig, match="outside their span"):
         dense_hamiltonian(lone, {"hb": 1.0}, excitation_sectors(3)[1])
@@ -321,8 +349,10 @@ def test_expectation_values_in_range():
     for _ in range(200):
         p = random_string(rng, 5)
         if p.is_hermitian:
-            vals.add(expectation(p, state))
-    assert vals <= {Fraction(-1), Fraction(0), Fraction(1)}
+            val = expectation(p, state)
+            assert type(val) is int
+            vals.add(val)
+    assert vals <= {-1, 0, 1}
 
 
 def test_oracle_size_cap():

@@ -63,8 +63,19 @@ def test_ladder_matrix_is_signed_tridiagonal():
         expected[(k, k + 1)] = (pid, 1)
         expected[(k + 1, k)] = (pid, -1)
     assert entry_map(model) == expected
-    assert model.b == (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    assert model.c == (Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    assert model.b == (1, 0, 0, 0, 0)
+    assert model.c == (0, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("n_chain", [1, 2, 3, 4])
+def test_catalog_b_and_c_are_ints(n_chain):
+    for (label, sensor_qubits), initials in CATALOG.items():
+        for initial in initials:
+            model = ssm.build(SensorConfig(n_chain, sensor_qubits, label,
+                                           initial))
+            assert len(model.b) == len(model.c) == model.dim
+            assert all(type(v) is int and v in (-1, 0, 1)
+                       for v in model.b + model.c)
 
 
 def test_single_qubit_yb_matrix_is_signed_tridiagonal():
@@ -77,8 +88,8 @@ def test_single_qubit_yb_matrix_is_signed_tridiagonal():
         expected[(k + 1, k)] = (pid, -1)
     assert entry_map(model) == expected
     # Yb itself has zero expectation in the +x product state
-    assert model.b == (Fraction(0),) * 4
-    assert model.c[0] == Fraction(1)
+    assert model.b == (0,) * 4
+    assert model.c[0] == 1
 
 
 def test_cube_pinned_entries_and_vectors():
@@ -89,9 +100,9 @@ def test_cube_pinned_entries_and_vectors():
     assert em[(0, 1)] == ("ha", -1)
     assert em[(1, 0)] == ("ha", 1)
     # B reads the Xb expectation (basis position 1), C the YaZb position (0)
-    assert model.b[1] == Fraction(1)
+    assert model.b[1] == 1
     assert sum(abs(v) for v in model.b) == 1
-    assert model.c[0] == Fraction(1)
+    assert model.c[0] == 1
     assert sum(abs(v) for v in model.c) == 1
 
 
@@ -112,7 +123,7 @@ def test_orthogonal_schemes_have_zero_b():
     for cfg in all_schemes(2):
         model = ssm.build(cfg)
         if cfg.capability == "orthogonal":
-            assert model.b == (Fraction(0),) * model.dim
+            assert model.b == (0,) * model.dim
             y = ssm.impulse_response(model, {p: 1.0 for p in model.param_ids}, [0.3, 1.7])
             assert np.array_equal(y, np.zeros(2))
         else:

@@ -18,6 +18,7 @@ from pathlib import Path
 import chainsense
 
 PACKAGE = Path(chainsense.__file__).resolve().parent
+BENCH_RUNNER = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 #: public definitions (module.name) with no caller in the package, and why
 #: each stays
@@ -48,6 +49,9 @@ REFEREES = {
                                            "symbolic_markov referee",
     "symca.transfer.minimal_denominator_exact": "exact referee of the cube's "
                                                 "order-12 invariants",
+    "symca.transfer.cube_equations": "the pinned N = 2 cube system whose "
+                                     "solve referees the denominator "
+                                     "route's closed forms",
     "symca.poly.RatFuncField": "QQ(v) coefficients of the parametric "
                                "elimination behind acceptance 07",
 }
@@ -144,3 +148,25 @@ def test_referees_exist_and_have_no_package_caller():
     assert not missing, f"referees no longer defined: {missing}"
     called_now = sorted(n for n in REFEREES if called[n])
     assert not called_now, f"referees the package now calls: {called_now}"
+
+
+def test_benchmark_designated_functions_exist():
+    """Every ``layer.name`` the benchmark's traced run must see called is a
+    public module-level function of that layer, so deleting one fails here
+    and not only in a traced benchmark run."""
+    tree = ast.parse(BENCH_RUNNER.read_text(), filename=str(BENCH_RUNNER))
+    designated = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "DESIGNATED"
+                for t in node.targets)
+    )
+    functions = {
+        f"{module.split('.')[0]}.{node.name}"
+        for module, (_, mod_tree) in _modules().items() if module
+        for node in mod_tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert designated
+    missing = sorted(set(designated) - functions)
+    assert not missing, f"designated functions not in the package: {missing}"
