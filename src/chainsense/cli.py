@@ -419,8 +419,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if not run.record_path:
         raise InadmissibleConfig("estimate needs --record pointing at a CSV")
-    record = estimate.record_from_text(_read_text(run.record_path, "record"))
     config = run.sensor_config()
+    couplings = config.hamiltonian().param_ids
+    unknown = sorted(set(run.h_values or {}) - set(couplings))
+    if unknown:
+        raise InadmissibleConfig(
+            f"truth names unknown coupling {', '.join(unknown)}; this "
+            f"scheme's couplings are {', '.join(couplings)}"
+        )
+    record = estimate.record_from_text(_read_text(run.record_path, "record"))
     result = estimate.recover_parameters(record, config)
     verdicts = {
         "method": result.method,

@@ -91,14 +91,6 @@ def exact_quantum_expectation(
     for sector in sectors:
         position[sector] = np.arange(len(sector))
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    eigen = []
-    for sector in sectors:
-        block = dense_hamiltonian(ham, binding, sector)
-        if not block.imag.any():
-            block = block.real
-        w, v = np.linalg.eigh(block)
-        eigen.append((v, np.exp(1j * np.outer(t, w))))
-
     everything = np.arange(1 << n)
     m_targets, m_signs, m_phase = basis_action(meas, everything)
     prepared = sorted(state.prepared_x)
@@ -108,21 +100,34 @@ def exact_quantum_expectation(
         for subset in itertools.combinations(prepared, r)
     ]
 
-    y = np.zeros(len(t), dtype=complex)
-    for src, (v_src, e_src) in zip(sectors, eigen):
-        targets = m_targets[src]
-        for k in np.unique(np.bitwise_count(targets)):
-            v_dst, e_dst = eigen[k]
-            m_eig = _eigen_block(targets, m_signs[src], k, position,
+    # huge couplings overflow the phases; the finiteness check below
+    # refuses what comes out
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigen = []
+        for sector in sectors:
+            block = dense_hamiltonian(ham, binding, sector)
+            if not block.imag.any():
+                block = block.real
+            w, v = np.linalg.eigh(block)
+            eigen.append((v, np.exp(1j * np.outer(t, w))))
+
+        y = np.zeros(len(t), dtype=complex)
+        for src, (v_src, e_src) in zip(sectors, eigen):
+            targets = m_targets[src]
+            for k in np.unique(np.bitwise_count(targets)):
+                v_dst, e_dst = eigen[k]
+                m_eig = _eigen_block(targets, m_signs[src], k, position,
+                                     v_dst, v_src)
+                rho_eig = sum(
+                    _eigen_block(x_targets[src], x_signs[src], k, position,
                                  v_dst, v_src)
-            rho_eig = sum(
-                _eigen_block(x_targets[src], x_signs[src], k, position,
-                             v_dst, v_src)
-                for x_targets, x_signs in rho_strings
-            )
-            y += np.sum((e_dst @ (m_eig * rho_eig.conj())) * e_src.conj(),
-                        axis=1)
-    y *= m_phase / (1 << n)
+                    for x_targets, x_signs in rho_strings
+                )
+                y += np.sum((e_dst @ (m_eig * rho_eig.conj()))
+                            * e_src.conj(), axis=1)
+        y *= m_phase / (1 << n)
+    if not np.isfinite(y).all():
+        raise NumericFailure("quantum oracle produced a non-finite expectation")
     if np.max(np.abs(y.imag)) > 1e-9:
         raise NumericFailure("quantum oracle produced a non-real expectation")
     y = y.real

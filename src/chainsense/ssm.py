@@ -10,6 +10,18 @@ A is provably antisymmetric: the basis is Hilbert-Schmidt orthonormal (up
 to the uniform 2^n factor) and i[H, .] is a hermitian superoperator with
 purely imaginary matrix elements between hermitian strings, so
 A_ij = -A_ji entry for entry.  ``build`` asserts this.
+
+A is also bipartite in the Y parity of the strings.  X, Z and I are real
+matrices and Y is imaginary, so a string with an even number of Ys is real
+and one with an odd number is imaginary.  H = sum h (XX + YY)/2 is real, so
+i[H, .] maps a real string to an imaginary combination and back: every
+entry of A joins an even string to an odd one, and over (even, odd)
+A = [[0, K], [-K^T, 0]] with spectrum +-i times the singular values of K
+(Golub and Kahan, SIAM J. Numer. Anal. B 2, 1965).  A preparable state is a
+product of X eigenstates, so its density matrix is a sum of products of X
+and I and B lives on the even strings; every scheme with B != 0 measures
+an odd string.  ``build`` asserts all three, and ``impulse_response``
+works from the one real block K.
 """
 
 from __future__ import annotations
@@ -46,6 +58,8 @@ class StateSpaceModel:
     a_entries: tuple[AEntry, ...]
     b: tuple[int, ...]
     c: tuple[int, ...]
+    #: whether each basis string holds an odd number of Ys
+    odd: tuple[bool, ...]
 
     @property
     def param_ids(self) -> tuple[str, ...]:
@@ -75,6 +89,8 @@ def build(config: SensorConfig) -> StateSpaceModel:
     """
     aset = generate(config)
     dim = len(aset)
+    odd = tuple((s.x_mask & s.z_mask).bit_count() % 2 == 1
+                for _sign, s in aset.basis)
     entries: dict[tuple[int, int], AEntry] = {}
     for i, (sign_i, op) in enumerate(aset.basis):
         for pid, coeff, out in aset.derivatives[op.key()]:
@@ -85,6 +101,10 @@ def build(config: SensorConfig) -> StateSpaceModel:
                 raise InadmissibleConfig(
                     f"unexpected derivative coefficient {total} at ({i},{j})"
                 )
+            if odd[i] == odd[j]:
+                raise InadmissibleConfig(
+                    f"A joins two strings of the same Y parity at ({i},{j})"
+                )
             if (i, j) in entries:
                 raise InadmissibleConfig(f"two parameters map to entry ({i},{j})")
             entries[(i, j)] = AEntry(i, j, pid, total)
@@ -93,10 +113,18 @@ def build(config: SensorConfig) -> StateSpaceModel:
         if partner is None or partner.param_id != e.param_id or partner.sign != -e.sign:
             raise InadmissibleConfig(f"A is not antisymmetric at ({i},{j})")
     b = tuple(aset.signed_expectations(config.initial_state()))
+    for k, value in enumerate(b):
+        if value and odd[k]:
+            raise InadmissibleConfig(f"B has support on the odd string {k}")
     m = config.measurement_string()
     c = [0] * dim
     pos = aset.position(m)
     c[pos] = aset.basis[pos][0]
+    if any(b) and not odd[pos]:
+        raise InadmissibleConfig(
+            f"the readout string {pos} is even, so C exp(At) B would need "
+            "the even-to-even block"
+        )
     order = sorted(entries)
     return StateSpaceModel(
         config=config,
@@ -105,6 +133,7 @@ def build(config: SensorConfig) -> StateSpaceModel:
         a_entries=tuple(entries[k] for k in order),
         b=b,
         c=tuple(c),
+        odd=odd,
     )
 
 
@@ -148,22 +177,27 @@ def spectral_bound(model: StateSpaceModel, binding: Binding) -> float:
 def impulse_response(model: StateSpaceModel, binding: Binding, times) -> np.ndarray:
     """y(t) = C exp(A t) B at each requested time.
 
-    A is real antisymmetric, so iA is hermitian; one eigendecomposition
-    serves every sample time.
+    Over (even, odd) strings A = [[0, K], [-K^T, 0]].  With the thin SVD
+    K = U S V^T, the odd-from-even block of exp(A t) is -V sin(S t) U^T,
+    and B is even and C odd (``build`` checks both), so
+    y(t) = -(V^T c_odd)^T sin(S t) (U^T b_even): one real SVD of the
+    half-size block serves every sample time.
     """
-    a, b, c = evaluate(model, binding)
     times = np.asarray(times, dtype=float)
-    if not np.any(b) or not np.any(c):
+    if not any(model.b) or not any(model.c):
         return np.zeros(times.shape)
-    w, v = np.linalg.eigh(1j * a)
-    # A = V diag(-i w) V^dagger
-    left = c @ v
-    right = v.conj().T @ b
-    phases = np.exp(-1j * np.outer(times, w))
-    y = (phases * (left * right)).sum(axis=1)
-    if np.max(np.abs(y.imag)) > 1e-9 * max(1.0, np.max(np.abs(y.real))):
-        raise NumericFailure("impulse response came out non-real")
-    return y.real
+    a, b, c = evaluate(model, binding)
+    odd = np.array(model.odd)
+    even = ~odd
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            u, s, vt = np.linalg.svd(a[even][:, odd], full_matrices=False)
+        except np.linalg.LinAlgError as err:
+            raise NumericFailure(f"impulse response: {err}") from None
+        y = np.sin(np.outer(times, s)) @ ((vt @ c[odd]) * (u.T @ b[even]))
+    if not np.isfinite(y).all():
+        raise NumericFailure("impulse response is not finite")
+    return 0.0 - y  # not -y: the sample at t = 0 stays +0.0
 
 
 def krylov(a, v, count: int) -> list:

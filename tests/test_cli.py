@@ -287,6 +287,37 @@ def test_estimate_refuses_non_finite_truth(tmp_path, capsys, value, source):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_estimate_refuses_unknown_truth_name(tmp_path, capsys, source):
+    rec_path = tmp_path / "rec.csv"
+    assert run_cli(["simulate", *CUBE_FLAGS, "--record", str(rec_path)],
+                   capsys)[0] == 0
+    report = tmp_path / "report.json"
+    argv = ["estimate", "--measurement", "ZaYb", "--n-chain", "2",
+            "--record", str(rec_path), "--report", str(report)]
+    if source == "flag":
+        argv += ["--set", "zz=1", "--set", "hb=0.8"]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[truth]\nzz = 1\nhb = 0.8\n")
+        argv += ["--config", str(cfg_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "unknown coupling zz" in err
+    assert "ha, hb, h1" in err
+    assert not report.exists()
+
+
+def test_estimate_accepts_a_partial_truth(tmp_path, capsys):
+    rec_path = tmp_path / "rec.csv"
+    run_cli(["simulate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
+    code, out, _ = run_cli(
+        ["estimate", "--measurement", "YaZb", "--n-chain", "2",
+         "--set", "hb=0.8", "--record", str(rec_path)], capsys)
+    assert code == 0
+    assert "abs_err_hb" in out and "abs_err_ha" not in out
+
+
 def test_estimate_cube_round_trip(tmp_path, capsys):
     rec_path = tmp_path / "rec.csv"
     run_cli(["simulate", *CUBE_FLAGS, "--count", "120",
@@ -427,18 +458,46 @@ CUBE1_FLAGS = ["--measurement", "YaZb", "--n-chain", "1",
                "--set", "ha=1.0", "--set", "hb=0.8"]
 
 
+#: the samples of the noiseless 40-sample CUBE_FLAGS record, pinned: which
+#: ERA guard a spiked sample meets depends on the last bits of every other
+#: sample, and a row spiked in the record that ``simulate`` writes now is
+#: refused as singular before the logarithm is reached
+CUBE_SAMPLES_FOR_LOGM = (
+    "-1.3877787807814457e-17", "-0.14762546754700476", "-0.2836971777860149",
+    "-0.39806872332903337", "-0.48318742664461795", "-0.5348787375217909",
+    "-0.5526197324821907", "-0.5392829994834324", "-0.500423097992892",
+    "-0.44325217553863006", "-0.3754956010270686", "-0.30432534290202345",
+    "-0.23553860879018126", "-0.173089675951451", "-0.11900717333002889",
+    "-0.07365330965542094", "-0.036220953268837466", "-0.005330460989148633",
+    "0.020414009602833287", "0.04202105996246579", "0.05992403087681225",
+    "0.07401182509983109", "0.0838276140147256", "0.08884721694527749",
+    "0.088736776174941", "0.08350411284028146", "0.07349525782119287",
+    "0.0592372580463983", "0.0411776824849969", "0.019407579836609633",
+    "-0.006531694426874034", "-0.03767068162627746", "-0.07541413745156167",
+    "-0.12112940399989261", "-0.1755857937932757", "-0.23835905254936873",
+    "-0.30734172383373637", "-0.3784967063666783", "-0.44595599876123393",
+    "-0.5025051222010645",
+)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("flags,row,value,reason", [
+@pytest.mark.parametrize("flags,samples,row,value,reason", [
     # N = 2: its realized eigenbasis has condition 5.9e14 (on the N = 1
     # cube this record realizes order 19 > dim 9, which is refused first)
-    (CUBE_FLAGS, 20, "1e100", "matrix logarithm failed"),
+    (CUBE_FLAGS, CUBE_SAMPLES_FOR_LOGM, 20, "1e100",
+     "matrix logarithm failed"),
     # row 3: row 4 realizes order 5 > dim 4, which is refused first
-    (LADDER2_FLAGS, 3, "1e100", "singular"),
-    (LADDER2_FLAGS, 2, "1e308", "singular"),  # near the float limit
+    (LADDER2_FLAGS, None, 3, "1e100", "singular"),
+    (LADDER2_FLAGS, None, 2, "1e308", "singular"),  # near the float limit
 ], ids=["logm-error", "singular", "singular-stall"])
 def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
-                                                    row, value, reason):
+                                                    samples, row, value,
+                                                    reason):
     rec_path, header, body = _simulated_rows(tmp_path, capsys, flags)
+    if samples is not None:
+        assert len(samples) == len(body)
+        for line, sample in zip(body, samples):
+            line[1] = sample
     body[row][1] = value
     rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
     code, _, err = run_cli(
@@ -579,6 +638,24 @@ def test_oracle_check_at_ten_qubits(tmp_path, capsys, measurement):
     assert payload["verdicts"] == {"closed_forms_match": True,
                                    "oracle_agreement": True}
     assert payload["residuals"]["oracle_max_residual"] <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("measurement,initial", [
+    ("YaZb", "xb"), ("ZaYb", "xa"),
+], ids=["cube", "ladder"])
+def test_oracle_check_overflow_is_numeric_failure(tmp_path, capsys,
+                                                  measurement, initial):
+    # the phases overflow to NaN, which no comparison catches
+    report = tmp_path / "oracle.json"
+    code, out, err = run_cli(
+        ["oracle-check", "--measurement", measurement, "--initial", initial,
+         "--n-chain", "2", "--set", "ha=1e308", "--set", "hb=0.8",
+         "--set", "h1=0.6", "--report", str(report)], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "not finite" in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("sets,named", [

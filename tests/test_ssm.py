@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsense import estimate, pauli, ssm
-from chainsense.accessible import CATALOG, SensorConfig
+from chainsense.accessible import CATALOG, SensorConfig, generate
+from chainsense.errors import InadmissibleConfig, NumericFailure
 from chainsense.pauli import dense_hamiltonian, dense_matrix, dense_state
 from chainsense.prng import random_binding, spawn_rng
 
@@ -37,6 +38,24 @@ def quantum_impulse(cfg: SensorConfig, binding: dict[str, float], times) -> np.n
     y = np.exp(1j * np.outer(times, gaps)) @ weights.ravel()
     assert np.max(np.abs(y.imag)) < 1e-10
     return y.real
+
+
+def eigh_impulse(model, binding, times) -> np.ndarray:
+    """C exp(At) B from one complex eigendecomposition of the hermitian iA:
+    A = V diag(-i w) V^H, so y(t) = sum_k (C v_k)(v_k^H B) e^{-i w_k t}."""
+    a, b, c = ssm.evaluate(model, binding)
+    times = np.asarray(times, dtype=float)
+    if not np.any(b) or not np.any(c):
+        return np.zeros(times.shape)
+    w, v = np.linalg.eigh(1j * a)
+    phases = np.exp(-1j * np.outer(times, w))
+    y = phases @ ((c @ v) * (v.conj().T @ b))
+    assert np.max(np.abs(y.imag)) <= 1e-12
+    return y.real
+
+
+def y_parity_is_odd(string) -> bool:
+    return sum(string.letter(q) == "Y" for q in range(string.n_qubits)) % 2 == 1
 
 
 def all_schemes(n_chain):
@@ -119,6 +138,52 @@ def test_antisymmetry_everywhere(n_chain):
         assert np.array_equal(a, -a.T)
 
 
+@pytest.mark.parametrize("n_chain", range(1, 8))
+def test_parity_split_everywhere(n_chain):
+    """A joins only opposite Y parities, B is even, and C is odd wherever B
+    is not zero."""
+    for cfg in all_schemes(n_chain):
+        model = ssm.build(cfg)
+        basis = generate(cfg).basis
+        assert model.odd == tuple(y_parity_is_odd(s) for _sign, s in basis)
+        for e in model.a_entries:
+            assert model.odd[e.row] != model.odd[e.col]
+        assert not any(v for v, odd in zip(model.b, model.odd) if odd)
+        if any(model.b):
+            assert all(odd for v, odd in zip(model.c, model.odd) if v)
+
+
+def test_build_refuses_a_broken_parity_split(monkeypatch):
+    # basis Xa, ZaYb, ZaZbX1, ZaZbZ1Y2: even, odd, even, odd
+    cfg = SensorConfig(2, 2, "ZaYb", "xa")
+    assert ssm.build(cfg).odd == (False, True, False, True)
+
+    def tampered():
+        aset = generate(cfg)
+        monkeypatch.setattr(ssm, "generate", lambda config: aset)
+        return aset
+
+    # i[H, Xa] = ha ZaYb, sent to the even ZaZbX1 instead
+    aset = tampered()
+    xa, even = aset.basis[0][1], aset.basis[2][1]
+    [(pid, coeff, _out)] = aset.derivatives[xa.key()]
+    aset.derivatives[xa.key()] = [(pid, coeff, even)]
+    with pytest.raises(InadmissibleConfig, match="same Y parity at \\(0,2\\)"):
+        ssm.build(cfg)
+
+    aset = tampered()
+    aset.signed_expectations = lambda state: [1, 1, 0, 0]
+    with pytest.raises(InadmissibleConfig, match="B has support on the odd "
+                                                 "string 1"):
+        ssm.build(cfg)
+
+    tampered()
+    monkeypatch.setattr(SensorConfig, "measurement_string",
+                        lambda self: pauli.from_letters(4, {0: "X"}))
+    with pytest.raises(InadmissibleConfig, match="readout string 0 is even"):
+        ssm.build(cfg)
+
+
 def test_orthogonal_schemes_have_zero_b():
     for cfg in all_schemes(2):
         model = ssm.build(cfg)
@@ -133,7 +198,7 @@ def test_orthogonal_schemes_have_zero_b():
 # -- dynamics against the dense oracle --------------------------------------
 
 
-@pytest.mark.parametrize("n_chain", [1, 2, 3])
+@pytest.mark.parametrize("n_chain", [1, 2, 3, 4])
 def test_impulse_matches_quantum_oracle(n_chain):
     times = np.linspace(0.0, 8.0, 33)
     for cfg in all_schemes(n_chain):
@@ -144,6 +209,45 @@ def test_impulse_matches_quantum_oracle(n_chain):
             y_model = ssm.impulse_response(model, binding, times)
             y_quantum = quantum_impulse(cfg, binding, times)
             assert np.max(np.abs(y_model - y_quantum)) < 1e-10
+
+
+@pytest.mark.parametrize("n_chain", range(1, 8))
+def test_impulse_matches_complex_eigh_referee(n_chain):
+    """The SVD of the even-to-odd block against exp(At) from the complex
+    eigendecomposition of iA, up to the cube's dim 324 at N = 7."""
+    times = np.linspace(0.0, 10.0, 50)
+    for cfg in all_schemes(n_chain):
+        model = ssm.build(cfg)
+        rng = spawn_rng(17, "eigh-referee", cfg.scheme_tag, cfg.initial_label,
+                        str(n_chain))
+        for _ in range(3):
+            binding = random_binding(model.param_ids, rng)
+            y = ssm.impulse_response(model, binding, times)
+            assert np.max(np.abs(y - eigh_impulse(model, binding, times))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_response_is_numeric_failure():
+    cfg = SensorConfig(2, 2, "YaZb", "xb")
+    model = ssm.build(cfg)
+    binding = {"ha": 1e308, "hb": 0.8, "h1": 0.6}
+    times = np.linspace(0.0, 10.0, 50)
+    with pytest.raises(NumericFailure, match="impulse response is not finite"):
+        ssm.impulse_response(model, binding, times)
+    with pytest.raises(NumericFailure, match="non-finite expectation"):
+        estimate.exact_quantum_expectation(
+            cfg.hamiltonian(), cfg.initial_state(), cfg.measurement_string(),
+            binding, times)
+
+
+def test_impulse_svd_failure_is_numeric_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    model = ssm.build(SensorConfig(2, 2, "ZaYb", "xa"))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericFailure, match="SVD did not converge"):
+        ssm.impulse_response(model, {p: 1.0 for p in model.param_ids}, [0.5])
 
 
 @pytest.mark.parametrize("n_chain", [1, 2, 3, 4])
