@@ -303,13 +303,20 @@ def era(
     expected_order: int | None = None,
     max_order: int | None = None,
 ) -> ERARealization:
-    """Hankel-SVD realization of the record's sample sequence.
+    """Ho-Kalman realization of the record's sample sequence.
 
     The samples of a continuous impulse response are the Markov sequence
     of the discrete pair (e^{A dt}, B, C), so the realized a_hat estimates
     e^{A dt} and the principal logarithm recovers A.  A selected order
     above ``max_order`` (the model dimension) cannot come from the model
     and is refused before any realization is formed.
+
+    The readout is scalar, so the square Hankel H0 of the first samples
+    is symmetric and its symmetric eigendecomposition Q diag(lambda) Q^T
+    is its SVD: singular values |lambda|, U = Q and V = Q diag(sign
+    lambda).  H0 and the shifted H1 are count // 2 square, which uses
+    every sample of an even-length record; of an odd-length one the last
+    sample enters only the fit check.
     """
     values = np.asarray(record.values, dtype=float)
     trimmed = 0
@@ -322,20 +329,22 @@ def era(
             f"record too short: {count} samples for expected order "
             f"{expected_order} (need at least {2 * expected_order + 2})"
         )
-    r = (count + 1) // 2
     s = count // 2
     windows = np.lib.stride_tricks.sliding_window_view(values, s)
-    h0, h1 = windows[:r], windows[1:]
+    h0, h1 = windows[:s], windows[1:s + 1]
     try:
-        u, sing, vt = np.linalg.svd(h0, full_matrices=False)
+        w, q = np.linalg.eigh(h0)
     except np.linalg.LinAlgError:
         raise NumericFailure(
-            "Hankel SVD did not converge; the record's values are out of "
-            "working range"
+            "Hankel eigendecomposition (the symmetric Hankel's SVD) did not "
+            "converge; the record's values are out of working range"
         ) from None
-    diagnostics = {"hankel_shape": (r, s), "trimmed_zeros": trimmed}
+    by_size = np.argsort(-np.abs(w), kind="stable")
+    w, u = w[by_size], q[:, by_size]
+    sing = np.abs(w)
+    diagnostics = {"hankel_shape": (s, s), "trimmed_zeros": trimmed}
 
-    order, verdict, gap = _select_order(sing, record.noise_sigma, r, s)
+    order, verdict, gap = _select_order(sing, record.noise_sigma, s)
     diagnostics["gap_ratio"] = gap
     if verdict != "ok":
         return ERARealization(
@@ -350,7 +359,7 @@ def era(
             "the record does not fit this scheme"
         )
     un = u[:, :order]
-    vn = vt[:order, :].T
+    vn = un * np.where(w[:order] < 0, -1.0, 1.0)  # lambda = 0 counts as +1
     root = np.sqrt(sing[:order])
     with np.errstate(over="ignore", invalid="ignore"):
         a_hat = (un.T @ h1 @ vn) / np.outer(root, root)
@@ -428,7 +437,7 @@ def _check_fit(values, a_hat, b_hat, c_hat, noise_sigma: float) -> float:
     return miss
 
 
-def _select_order(sing: np.ndarray, noise_sigma: float, r: int, s: int):
+def _select_order(sing: np.ndarray, noise_sigma: float, size: int):
     """First spectral gap that clears the threshold.
 
     Later gaps are ratios between noise-floor singular values and can dip
@@ -445,7 +454,7 @@ def _select_order(sing: np.ndarray, noise_sigma: float, r: int, s: int):
     threshold = (
         NOISELESS_GAP
         if noise_sigma == 0
-        else 10.0 * noise_sigma * math.sqrt(float(max(r, s)))
+        else 10.0 * noise_sigma * math.sqrt(float(size))
     )
     for k, gap in enumerate(ratios):
         if gap < threshold:

@@ -34,6 +34,11 @@ def one_line_error(err):
     return err.startswith("error: ") and err.count("\n") == 1
 
 
+def scheme_flags(flags):
+    """``flags`` without its --set truths, which analyze refuses."""
+    return flags[:flags.index("--set")]
+
+
 # -- analyze -----------------------------------------------------------------
 
 
@@ -458,34 +463,15 @@ CUBE1_FLAGS = ["--measurement", "YaZb", "--n-chain", "1",
                "--set", "ha=1.0", "--set", "hb=0.8"]
 
 
-#: the samples of the noiseless 40-sample CUBE_FLAGS record, pinned: which
-#: ERA guard a spiked sample meets depends on the last bits of every other
-#: sample, and a row spiked in the record that ``simulate`` writes now is
-#: refused as singular before the logarithm is reached
-CUBE_SAMPLES_FOR_LOGM = (
-    "-1.3877787807814457e-17", "-0.14762546754700476", "-0.2836971777860149",
-    "-0.39806872332903337", "-0.48318742664461795", "-0.5348787375217909",
-    "-0.5526197324821907", "-0.5392829994834324", "-0.500423097992892",
-    "-0.44325217553863006", "-0.3754956010270686", "-0.30432534290202345",
-    "-0.23553860879018126", "-0.173089675951451", "-0.11900717333002889",
-    "-0.07365330965542094", "-0.036220953268837466", "-0.005330460989148633",
-    "0.020414009602833287", "0.04202105996246579", "0.05992403087681225",
-    "0.07401182509983109", "0.0838276140147256", "0.08884721694527749",
-    "0.088736776174941", "0.08350411284028146", "0.07349525782119287",
-    "0.0592372580463983", "0.0411776824849969", "0.019407579836609633",
-    "-0.006531694426874034", "-0.03767068162627746", "-0.07541413745156167",
-    "-0.12112940399989261", "-0.1755857937932757", "-0.23835905254936873",
-    "-0.30734172383373637", "-0.3784967063666783", "-0.44595599876123393",
-    "-0.5025051222010645",
-)
+#: y_k = (k/40)^3 has a triple pole at 1, so the realized e^{A dt} is
+#: defective: its eigenvector condition (about 1e10) is far past what the
+#: logarithm accepts, whatever the last bits of the samples are
+CUBIC_SAMPLES = tuple(repr((k / 40) ** 3) for k in range(40))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags,samples,row,value,reason", [
-    # N = 2: its realized eigenbasis has condition 5.9e14 (on the N = 1
-    # cube this record realizes order 19 > dim 9, which is refused first)
-    (CUBE_FLAGS, CUBE_SAMPLES_FOR_LOGM, 20, "1e100",
-     "matrix logarithm failed"),
+    (CUBE_FLAGS, CUBIC_SAMPLES, None, None, "matrix logarithm failed"),
     # row 3: row 4 realizes order 5 > dim 4, which is refused first
     (LADDER2_FLAGS, None, 3, "1e100", "singular"),
     (LADDER2_FLAGS, None, 2, "1e308", "singular"),  # near the float limit
@@ -498,7 +484,8 @@ def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
         assert len(samples) == len(body)
         for line, sample in zip(body, samples):
             line[1] = sample
-    body[row][1] = value
+    if row is not None:
+        body[row][1] = value
     rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
     code, _, err = run_cli(
         ["estimate", *flags, "--record", str(rec_path)], capsys)
@@ -574,7 +561,8 @@ def test_estimate_unreadable_record_exits_2(tmp_path, capsys, name, data,
                                        ("simulate", "--record")])
 def test_output_into_missing_directory_exits_2(tmp_path, capsys, verb, flag):
     target = tmp_path / "missing" / "out"
-    code, _, err = run_cli([verb, *CUBE_FLAGS, flag, str(target)], capsys)
+    flags = scheme_flags(CUBE_FLAGS) if verb == "analyze" else CUBE_FLAGS
+    code, _, err = run_cli([verb, *flags, flag, str(target)], capsys)
     assert code == 2
     assert one_line_error(err) and "cannot write" in err
 
@@ -656,6 +644,66 @@ def test_oracle_check_overflow_is_numeric_failure(tmp_path, capsys,
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert "not finite" in err
     assert not report.exists()
+
+
+ORACLE_CUBE2 = ["oracle-check", "--measurement", "YaZb", "--n-chain", "2",
+                "--set", "hb=0.8", "--set", "h1=0.6"]
+
+
+def test_oracle_check_tolerance_scales_with_the_couplings(capsys):
+    # both sides round to about eps * t * |A|: at ha = 1e8 they differ by
+    # 7.5e-8, above the 1e-8 floor, and still agree
+    code, out, _ = run_cli([*ORACLE_CUBE2, "--set", "ha=1e8"], capsys)
+    assert code == 0
+    assert "oracle_agreement = True" in out
+    match = re.search(r"oracle_max_residual = (\S+)", out)
+    scale = 16 * np.finfo(float).eps * 10 * 2e8  # t_max 10, bound 2e8
+    assert 1e-8 < float(match.group(1)) <= scale
+
+
+def test_oracle_check_refuses_couplings_too_large_to_check(tmp_path, capsys):
+    report = tmp_path / "oracle.json"
+    code, out, err = run_cli(
+        [*ORACLE_CUBE2, "--set", "ha=1e12", "--report", str(report)], capsys)
+    assert code == 4 and out == ""
+    assert err == ("numeric failure: spectral bound 2.000e+12 is too large "
+                   "to check: the float error of either side reaches "
+                   "7.1e-02, above 1e-3\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("verb,extra,named", [
+    ("analyze", ["--set", "ha=1"], "--set"),
+    ("analyze", ["--dt", "0.1"], "--dt"),
+    ("analyze", ["--count", "5"], "--count"),
+    ("analyze", ["--noise-sigma", "0.1"], "--noise-sigma"),
+    ("analyze", ["--record", "rec.csv"], "--record"),
+    ("analyze", ["--set", "zz=1", "--count", "5"], "--set, --count"),
+    ("oracle-check", ["--dt", "0.1"], "--dt"),
+    ("oracle-check", ["--count", "5"], "--count"),
+    ("oracle-check", ["--noise-sigma", "0.1"], "--noise-sigma"),
+    ("oracle-check", ["--record", "rec.csv", "--dt", "1"], "--dt, --record"),
+], ids=["analyze-set", "analyze-dt", "analyze-count", "analyze-noise",
+        "analyze-record", "analyze-two", "oracle-dt", "oracle-count",
+        "oracle-noise", "oracle-two"])
+def test_commands_refuse_flags_they_ignore(capsys, verb, extra, named):
+    code, out, err = run_cli(
+        [verb, "--measurement", "ZaYb", "--n-chain", "2", *extra], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {verb} does not use {named}\n"
+
+
+def test_analyze_and_oracle_check_accept_a_shared_config_file(tmp_path,
+                                                              capsys):
+    # one file serves every command, so sections a command ignores pass
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "[scheme]\nmeasurement = ZaYb\nn_chain = 2\n"
+        "[truth]\nha = 1.0\nhb = 0.8\nh1 = 0.6\n"
+        "[sampling]\ndt = 0.1\ncount = 40\nnoise_sigma = 0.01\n"
+        f"[output]\nrecord = {tmp_path / 'rec.csv'}\n")
+    for verb in ("analyze", "oracle-check"):
+        assert run_cli([verb, "--config", str(cfg_path)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("sets,named", [
@@ -908,7 +956,7 @@ def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
                            "--record", str(rec)])) == 1
         assert len(builds(["estimate", *flags, "--record", str(rec)])) \
             == estimate_builds
-        assert len(builds(["analyze", *flags])) == 1
+        assert len(builds(["analyze", *scheme_flags(flags)])) == 1
     # the command's own model, then each closed-form ladder N = 2..5 once
     for flags in (LADDER_FLAGS, CUBE_FLAGS):
         got = builds(["oracle-check", *flags])
@@ -972,7 +1020,8 @@ for flags in flag_sets:
     flags = flags.split()
     for argv in (["simulate", *flags, "--record", record],
                  ["estimate", *flags, "--record", record],
-                 ["analyze", *flags], ["oracle-check", *flags]):
+                 ["analyze", *flags[:flags.index("--set")]],
+                 ["oracle-check", *flags]):
         assert cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """

@@ -345,6 +345,72 @@ def test_era_singular_values_descending():
     assert np.all(np.diff(s) <= 1e-15)
 
 
+def svd_realization(values, order, dt):
+    """Ho-Kalman from the SVD of the square Hankel: its singular values and
+    the continuous eigenvalues log(eig a_hat) / dt of the order-``order``
+    realization."""
+    s = len(values) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(values, s)
+    u, sing, vt = np.linalg.svd(windows[:s])
+    root = np.sqrt(sing[:order])
+    a_hat = (u[:, :order].T @ windows[1:s + 1] @ vt[:order].T
+             / np.outer(root, root))
+    return sing, np.log(np.linalg.eigvals(a_hat).astype(complex)) / dt
+
+
+@pytest.mark.parametrize("cfg,count,sigma", [
+    *[pytest.param(ladder_cfg(n), 400, 0.0, id=f"ladder-N{n}")
+      for n in range(2, 9)],
+    *[pytest.param(cube_cfg(n), 240, 1e-3, id=f"cube-N{n}") for n in (1, 2)],
+])
+def test_era_eigendecomposition_matches_svd_referee(cfg, count, sigma):
+    # the square Hankel of a scalar sequence is symmetric, so its
+    # eigendecomposition gives the SVD; a noisy record that ERA refuses
+    # has no realization to compare
+    model = ssm.build(cfg)
+    compared = 0
+    for seed in range(5):
+        binding = random_binding(model.param_ids, spawn_rng(seed, "era-svd"))
+        record = make_record(cfg, binding, count, sigma, seed)
+        try:
+            real = estimate.era(record, max_order=model.dim)
+        except NumericFailure as exc:
+            assert sigma and "does not reproduce" in str(exc)
+            continue
+        assert real.verdict == "ok"
+        sing, want = svd_realization(record.values, real.order, record.dt)
+        assert np.max(np.abs(real.singular_values - sing)) <= 1e-12 * sing[0]
+        got = np.linalg.eigvals(real.a_cont)
+        assert len(got) == len(want)
+        miss = np.min(np.abs(got[:, None] - want[None, :]), axis=1)
+        assert np.max(miss) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        compared += 1
+    assert compared >= 3
+
+
+def test_era_odd_record_leaves_its_last_sample_to_the_fit():
+    cfg = ladder_cfg(2)
+    binding = {"ha": 1.1, "hb": -0.7, "h1": 1.3}
+    record = make_record(cfg, binding, 61)
+    real = estimate.era(record)
+    assert real.verdict == "ok" and real.order == 4
+    assert real.diagnostics["hankel_shape"] == (30, 30)
+    record.values[-1] += 1.0  # outside both Hankels, so only the fit sees it
+    with pytest.raises(NumericFailure, match="does not reproduce"):
+        estimate.era(record)
+
+
+def test_era_eigh_failure_is_numeric_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    rec = make_record(ladder_cfg(2), {"ha": 1.0, "hb": 0.8, "h1": 0.5}, 40)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericFailure,
+                       match="Hankel eigendecomposition .* did not converge"):
+        estimate.era(rec)
+
+
 # -- moment-chain factorization ----------------------------------------------
 
 
