@@ -590,8 +590,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are inadmissible input, so ``main``
+    prints them as one ``error:`` line and returns 2.  Subparsers are made
+    from the parser's own class and inherit this."""
+
+    def error(self, message):
+        raise InadmissibleConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainsense",
         description="identifiability analysis and estimation for "
                     "sensor-probed coupling chains",
@@ -625,9 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UnidentifiableScheme as err:
         sys.stderr.write(f"refused: {err}\n")

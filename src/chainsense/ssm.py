@@ -201,11 +201,26 @@ def impulse_response(model: StateSpaceModel, binding: Binding, times) -> np.ndar
 
 
 def krylov(a, v, count: int) -> list:
-    """[v, Av, ..., A^{count-1} v] for a float ndarray A or a Fraction matrix."""
+    """[v, Av, ..., A^{count-1} v] for a float ndarray A or a Fraction matrix.
+
+    A Fraction matrix is read once into each row's nonzero (column, value)
+    pairs, and each step multiplies only those by the nonzero entries of
+    the previous vector: a ladder step costs O(nnz) rather than O(dim^2).
+    """
     out = [v][:count]
+    if isinstance(a, np.ndarray):
+        while len(out) < count:
+            out.append(a @ out[-1])
+        return out
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     while len(out) < count:
         prev = out[-1]
-        out.append(a @ prev if isinstance(a, np.ndarray) else exact.matvec(a, prev))
+        step = []
+        for row in rows:
+            terms = [x * pj for j, x in row if (pj := prev[j])]
+            # a Fraction(0) start would cost one more addition per entry
+            step.append(sum(terms[1:], terms[0]) if terms else Fraction(0))
+        out.append(step)
     return out
 
 

@@ -122,6 +122,28 @@ def test_analyze_rejects_unknown_measurement(capsys):
     assert "not in the catalog" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["analyze", "--count", "abc"], "--count"),
+    (["simulate", "--n-chain", "2.5"], "--n-chain"),
+    (["analyze", "--no-such-flag"], "--no-such-flag"),
+    (["frobnicate"], "frobnicate"),
+    ([], "verb"),
+    (["report"], "path"),
+])
+def test_malformed_arguments_are_one_line_errors(capsys, argv, named):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert one_line_error(err) and named in err
+
+
+def test_help_still_prints_usage_and_exits(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chainsense analyze")
+
+
 def test_analyze_requires_initial_when_ambiguous(capsys):
     code, _, err = run_cli(
         ["analyze", "--measurement", "Zb", "--sensor-qubits", "2",

@@ -224,6 +224,30 @@ def test_spt_artifact_closed_forms(n_chain):
         assert last == realization.a_tilde_last_column_closed_form(n_chain, binding)
 
 
+@pytest.mark.parametrize("n_chain", [33, 65])
+def test_spt_artifact_closed_forms_on_long_ladders(n_chain):
+    model = ladder(n_chain)
+    binding = rational_binding(model.param_ids, spawn_rng(29, "spt", str(n_chain)))
+    _, art = realization.spt_minimal(model, binding)
+    assert art.det_p_bar == realization.det_p_bar_closed_form(n_chain, binding)
+    assert art.p_vec == realization.p_vec_closed_form(n_chain, binding)
+    m = model.dim - 1
+    last = [art.a_tilde[i][m - 1] for i in range(m)]
+    assert last == realization.a_tilde_last_column_closed_form(n_chain, binding)
+
+
+@pytest.mark.parametrize("build, n_chain", [(ladder, 9), (ladder, 10), (cube, 2)])
+def test_exact_krylov_equals_repeated_matvec(build, n_chain):
+    model = build(n_chain)
+    binding = rational_binding(model.param_ids, spawn_rng(37, "krylov", str(n_chain)))
+    a, b, c = ssm.evaluate_exact(model, binding)
+    for mat, v in [(a, b), (exact.transpose(a), c)]:
+        expected = [v]
+        for _ in range(model.dim):
+            expected.append(exact.matvec(mat, expected[-1]))
+        assert ssm.krylov(mat, v, model.dim + 1) == expected
+
+
 @pytest.mark.parametrize("n_chain", [1, 3, 5])
 def test_spt_markov_exactly_preserved(n_chain):
     model = ladder(n_chain)
