@@ -118,8 +118,9 @@ class SensorConfig:
 # -- closure ----------------------------------------------------------------
 
 
-#: one term of i[H, o]: (param_id, coefficient, phase-0 string)
-Term = tuple[str, int, PauliString]
+#: one term of i[H, o]: (param_id, coefficient, (X mask, Z mask)) of a
+#: phase-0 string
+Term = tuple[str, int, tuple[int, int]]
 
 
 def closure(
@@ -127,21 +128,24 @@ def closure(
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], list[Term]]]:
     """Breadth-first commutator closure.
 
-    Returns ({string key: depth}, {string key: derivative terms}).  Each
-    element's i[H, .] is expanded exactly once, and every string it produces
-    joins the set, so the second table covers the set and stays inside it.
+    Returns ({string key: depth}, {string key: derivative terms}), both keyed
+    by (X mask, Z mask).  Each element's i[H, .] is expanded exactly once,
+    from the one :class:`PauliString` made for that element, and every
+    string it produces joins the set, so the second table covers the set and
+    stays inside it.
     """
-    start = seed.positive()
-    depths = {start.key(): 0}
+    start = seed.key()
+    depths = {start: 0}
     derivatives: dict[tuple[int, int], list[Term]] = {}
     frontier = [start]
     while frontier:
         nxt = []
-        for op in frontier:
-            terms = derivatives[op.key()] = heisenberg_derivative(ham, op)
+        for key in frontier:
+            terms = derivatives[key] = heisenberg_derivative(
+                ham, PauliString(seed.n_qubits, *key))
             for _pid, _coeff, out in terms:
-                if out.key() not in depths:
-                    depths[out.key()] = depths[op.key()] + 1
+                if out not in depths:
+                    depths[out] = depths[key] + 1
                     nxt.append(out)
         frontier = nxt
     return depths, derivatives
@@ -203,7 +207,7 @@ def single_yb_basis(n_chain: int) -> list[tuple[int, PauliString]]:
 @dataclass
 class AccessibleSet:
     """Ordered, signed operator basis generated by a measurement, with the
-    derivative terms of each element keyed by its string."""
+    derivative terms of each element keyed by its (X mask, Z mask)."""
 
     basis: tuple[tuple[int, PauliString], ...]
     derivatives: dict[tuple[int, int], list[Term]]
@@ -218,9 +222,10 @@ class AccessibleSet:
     def __len__(self) -> int:
         return len(self.basis)
 
-    def position(self, string: PauliString) -> int:
-        """0-based index of a (phase-stripped) string; KeyError if absent."""
-        return self._index[string.key()]
+    def position(self, key: tuple[int, int]) -> int:
+        """0-based index of the string with this (X mask, Z mask) key;
+        KeyError if absent."""
+        return self._index[key]
 
     def __contains__(self, string: PauliString) -> bool:
         return string.key() in self._index

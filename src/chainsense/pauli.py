@@ -20,7 +20,7 @@ above 14 qubits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -206,6 +206,9 @@ class HamiltonianSpec:
 
     Each term is (param_id, string); the operator is
     sum_k binding[param_id_k] * EXCHANGE_PREFACTOR * string_k.
+    ``term_masks`` is derived from ``terms``: one (param_id, X mask, Z mask,
+    phase exponent + Y count) row per term, the parts of a product's phase
+    that :func:`heisenberg_derivative` would otherwise recount per call.
     """
 
     n_qubits: int
@@ -213,6 +216,14 @@ class HamiltonianSpec:
     n_chain: int
     terms: tuple[tuple[str, PauliString], ...]
     param_ids: tuple[str, ...]
+    term_masks: tuple[tuple[str, int, int, int], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "term_masks", tuple(
+            (pid, t.x_mask, t.z_mask, t.phase_exp + t._n_y())
+            for pid, t in self.terms
+        ))
 
 
 def _exchange_term(n: int, i: int, j: int) -> tuple[PauliString, PauliString]:
@@ -263,34 +274,36 @@ def chain_hamiltonian(n_chain: int, sensor_qubits: int = 2) -> HamiltonianSpec:
 
 def heisenberg_derivative(
     h: HamiltonianSpec, o: PauliString
-) -> list[tuple[str, int, PauliString]]:
-    """Expand i[H, o] as [(param_id, coefficient, phase-0 string), ...].
+) -> list[tuple[str, int, tuple[int, int]]]:
+    """Expand i[H, o] as [(param_id, coefficient, (X mask, Z mask)), ...].
 
     ``o`` must be hermitian.  A term P anticommutes with ``o`` or drops
     out; when it anticommutes, [P, o] = 2 P o, so the prefactor 1/2 cancels
     and i[P/2, o] = i P o = +-(P o with its phase stripped).  The sign is
-    the ``int`` coefficient; terms that land on the same string are summed
-    in the order they first appear.
+    the ``int`` coefficient and the phase-0 string is returned as its mask
+    key; terms that land on the same string are summed in the order they
+    first appear.  The anticommutation test and the product phase are those
+    of :func:`commutes` and :func:`multiply`, taken on the masks.
     """
     if o.n_qubits != h.n_qubits:
         raise DimensionMismatch(f"{h.n_qubits} vs {o.n_qubits} qubits")
     if not o.is_hermitian:
         raise NonHermitianOperator("Heisenberg derivative of a non-hermitian string")
+    ox, oz = o.x_mask, o.z_mask
+    base = o.phase_exp + o._n_y()
     acc: dict[tuple[str, int, int], int] = {}
-    for pid, term in h.terms:
-        if commutes(term, o):
+    for pid, px, pz, p_phase in h.term_masks:
+        if not ((px & oz) ^ (pz & ox)).bit_count() & 1:
             continue
-        prod = multiply(term, o)
+        x, z = px ^ ox, pz ^ oz
+        phase = (p_phase + base - (x & z).bit_count()
+                 + 2 * (pz & ox).bit_count()) & 3
         # P o is antihermitian, so i P o has phase 0 (sign +1) or 2 (-1)
-        if prod.is_hermitian:
+        if not phase & 1:
             raise NonHermitianOperator("Hamiltonian term is not hermitian")
-        key = (pid, prod.x_mask, prod.z_mask)
-        acc[key] = acc.get(key, 0) + (1 if prod.phase_exp == 3 else -1)
-    return [
-        (pid, coeff, PauliString(o.n_qubits, x, z, 0))
-        for (pid, x, z), coeff in acc.items()
-        if coeff
-    ]
+        key = (pid, x, z)
+        acc[key] = acc.get(key, 0) + (1 if phase == 3 else -1)
+    return [(pid, coeff, (x, z)) for (pid, x, z), coeff in acc.items() if coeff]
 
 
 # -- initial states ---------------------------------------------------------

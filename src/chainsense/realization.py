@@ -218,7 +218,12 @@ def spt_minimal(
         raise AtypicalParameters("singular reduced row matrix at this binding")
     w = exact.solve(p_bar, p_vec)  # Pbar^{-1} p
     m = dim - 1
-    a_tilde = [[a[i][j] + w[i] * a[m][j] for j in range(m)] for i in range(m)]
+    # A~ = A[:m, :m] + w A[m, :m], and row m of the ladder A has one nonzero
+    a_tilde = [row[:m] for row in a[:m]]
+    for j, a_mj in enumerate(a[m][:m]):
+        if a_mj:
+            for row, w_i in zip(a_tilde, w):
+                row[j] += w_i * a_mj
     b_min = b[:m]
     c_min = c[:m]
     if b[m] != 0 or c[m] != 0:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,9 @@ from .pauli import HamiltonianSpec
 Binding = dict[str, float]
 
 
-@dataclass(frozen=True)
-class AEntry:
+class AEntry(NamedTuple):
+    """One nonzero of A: A[row, col] = sign * binding[param_id]."""
+
     row: int
     col: int
     param_id: str
@@ -85,7 +87,8 @@ def build(config: SensorConfig) -> StateSpaceModel:
     """Construct the state-space model for a catalog scheme.
 
     A is read from the derivative table the closure recorded, so no
-    commutator is taken twice.
+    commutator is taken twice; each derivative term's string is found in the
+    basis by its (X mask, Z mask) key.
     """
     aset = generate(config)
     dim = len(aset)
@@ -118,7 +121,7 @@ def build(config: SensorConfig) -> StateSpaceModel:
             raise InadmissibleConfig(f"B has support on the odd string {k}")
     m = config.measurement_string()
     c = [0] * dim
-    pos = aset.position(m)
+    pos = aset.position(m.key())
     c[pos] = aset.basis[pos][0]
     if any(b) and not odd[pos]:
         raise InadmissibleConfig(

@@ -192,9 +192,9 @@ def test_derivative_of_outer_sensor_x():
     xa = parse_string("Xa", h.n_qubits)
     deriv = heisenberg_derivative(h, xa)
     assert len(deriv) == 1
-    pid, coeff, op = deriv[0]
+    pid, coeff, key = deriv[0]
     assert pid == "ha" and coeff == 1
-    assert format_string(op) == "Za Yb"
+    assert format_string(PauliString(h.n_qubits, *key)) == "Za Yb"
 
 
 def test_derivative_refuses_non_hermitian_term():
@@ -216,9 +216,12 @@ def test_derivative_coefficients_are_unit():
     rng = np.random.default_rng(11)
     for _ in range(40):
         p = random_string(rng, h.n_qubits).positive()
-        for pid, coeff, op in heisenberg_derivative(h, p):
+        for pid, coeff, key in heisenberg_derivative(h, p):
             assert type(coeff) is int and coeff in (1, -1)
-            assert op.phase_exp == 0
+            # a phase-0 string travels as its bare (X mask, Z mask) key
+            assert type(key) is tuple and len(key) == 2
+            assert all(type(m) is int and 0 <= m < 1 << h.n_qubits
+                       for m in key)
 
 
 @pytest.mark.parametrize("n_chain", [1, 2, 3, 4])
@@ -231,6 +234,70 @@ def test_catalog_derivative_coefficients_are_ints(n_chain):
         for terms in derivatives.values():
             for _pid, coeff, _out in terms:
                 assert type(coeff) is int and coeff in (1, -1)
+
+
+def _derivative_referee(h, o):
+    """i[H, o] expanded term by term with ``multiply`` and ``commutes``."""
+    acc = {}
+    for pid, term in h.terms:
+        if commutes(term, o):
+            continue
+        prod = multiply(term, o)
+        if prod.is_hermitian:
+            raise NonHermitianOperator("Hamiltonian term is not hermitian")
+        key = (pid, prod.key())
+        acc[key] = acc.get(key, 0) + (1 if prod.phase_exp == 3 else -1)
+    return [(pid, coeff, key) for (pid, key), coeff in acc.items() if coeff]
+
+
+def _random_spec(rng, n, phases=(0, 2)):
+    """A term list of single-site, Z-type and three-site strings with a few
+    shared parameters, repeats and opposite signs included."""
+    terms = []
+    for _ in range(int(rng.integers(4, 12))):
+        shape = int(rng.integers(0, 3))
+        sites = rng.choice(n, size=(1, int(rng.integers(2, 4)), 3)[shape],
+                           replace=False)
+        letters = {int(q): ("Z" if shape == 1 else "XYZ"[int(rng.integers(3))])
+                   for q in sites}
+        phase = int(rng.choice(phases))
+        term = from_letters(n, letters, phase)
+        pid = f"g{int(rng.integers(0, 3))}"
+        terms.append((pid, term))
+        if rng.random() < 0.3:  # the same string again, either sign
+            terms.append((pid, from_letters(n, letters,
+                                            int(rng.choice((0, 2))))))
+    return HamiltonianSpec(n, 2, n - 2, tuple(terms),
+                           tuple(sorted({pid for pid, _t in terms})))
+
+
+def test_derivative_matches_multiply_commutes_referee():
+    rng = np.random.default_rng(41)
+    specs = [chain_hamiltonian(3), chain_hamiltonian(2, sensor_qubits=1)]
+    specs += [_random_spec(rng, int(rng.integers(3, 7))) for _ in range(30)]
+    for h in specs:
+        for _ in range(20):
+            o = random_string(rng, h.n_qubits)
+            o = PauliString(o.n_qubits, o.x_mask, o.z_mask, 2 * (o.phase_exp % 2))
+            assert heisenberg_derivative(h, o) == _derivative_referee(h, o)
+
+
+def test_derivative_refuses_non_hermitian_terms_like_its_referee():
+    rng = np.random.default_rng(43)
+    refused = 0
+    for _ in range(40):
+        h = _random_spec(rng, 5, phases=(0, 1, 2, 3))
+        for _ in range(10):
+            o = random_string(rng, h.n_qubits).positive()
+            try:
+                expected = _derivative_referee(h, o)
+            except NonHermitianOperator:
+                refused += 1
+                with pytest.raises(NonHermitianOperator):
+                    heisenberg_derivative(h, o)
+            else:
+                assert heisenberg_derivative(h, o) == expected
+    assert refused
 
 
 def _hs_coefficient(op_dense, basis_string):
@@ -249,12 +316,13 @@ def test_derivative_matches_dense_oracle():
         p = random_string(rng, h.n_qubits).positive()
         target = 1j * (hd @ dense_matrix(p) - dense_matrix(p) @ hd)
         acc = np.zeros_like(target)
-        for pid, coeff, op in heisenberg_derivative(h, p):
+        for pid, coeff, key in heisenberg_derivative(h, p):
+            op = PauliString(h.n_qubits, *key)
             acc += float(binding[pid]) * float(coeff) * dense_matrix(op)
         np.testing.assert_allclose(acc, target, atol=1e-12)
         # and the expansion really is supported on the reported strings only
-        for pid, coeff, op in heisenberg_derivative(h, p):
-            proj = _hs_coefficient(target, op)
+        for pid, coeff, key in heisenberg_derivative(h, p):
+            proj = _hs_coefficient(target, PauliString(h.n_qubits, *key))
             assert abs(proj.imag) < 1e-12
 
 

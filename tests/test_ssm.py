@@ -6,6 +6,8 @@ against the initial density matrix.  Agreement of C exp(At) B with that
 is the load-bearing check for the whole linear-model layer.
 """
 
+import hashlib
+import json
 import math
 import sys
 from fractions import Fraction
@@ -125,6 +127,105 @@ def test_cube_pinned_entries_and_vectors():
     assert sum(abs(v) for v in model.c) == 1
 
 
+#: sha256 of each model's basis keys and signs, A entries, B, C and Y
+#: parities (``model_digest``): the ladder at N = 1..9, the cube at N = 1..6
+#: and every orthogonal scheme at N = 1..3, taken before the closure and
+#: the build moved to mask keys, which changed none of them
+MODEL_DIGESTS = {
+    ("ZaYb", 2, "xa", 1):
+        "a74dd5ac3d58bcd32e569b1a52f25de0113c1c1f7c3c2ac51209fa6918ac9540",
+    ("ZaYb", 2, "xa", 2):
+        "0c56745b8323e23b519272d047ce6f571c9994858f1cea67cd8f865e2b58af75",
+    ("ZaYb", 2, "xa", 3):
+        "7bb2b495777ec78b2fb0c665b41f931d6bd07f8f7e9066b46d716a86ef5997e1",
+    ("ZaYb", 2, "xa", 4):
+        "95fc114592ed2d3256a3a57346a6c7a4122c84fadccc4e06510754d877715938",
+    ("ZaYb", 2, "xa", 5):
+        "87ba9850466695dad30defe85a37cb7590a164ac243da629be75896c69dd9b91",
+    ("ZaYb", 2, "xa", 6):
+        "a7d00c9ea39823abdefdc516f4be22f7c6ec732aa9b8155c09b6f7ff02d4d018",
+    ("ZaYb", 2, "xa", 7):
+        "768657bce8f1107c6e8db1950d305362edeed3b4f13a90607d8df61a495e2480",
+    ("ZaYb", 2, "xa", 8):
+        "b2b4aa2da43d5ebd57f696f3a599fc61c36fa6b64959392ac2095ae16313f3d3",
+    ("ZaYb", 2, "xa", 9):
+        "82558bd31cc56b4c2b4431db478354ba0ffb890a20d514effd2a778e6b63a00b",
+    ("YaZb", 2, "xb", 1):
+        "fd04cc07a004014b399a5122f7d3f2172477161f791c2235a34f418b4fd67301",
+    ("YaZb", 2, "xb", 2):
+        "4aeda2b4c39fe0dd0fe221bace0c7c0f87e894ce1f513026467a3a74c9917779",
+    ("YaZb", 2, "xb", 3):
+        "7a138cb294f4bc2c4ecf0ae72146250763f307eb70e9eda6b7adc597d4edcbdd",
+    ("YaZb", 2, "xb", 4):
+        "487856c0921fbba410034fb73dcacc599f59bdc2847602e24d7b8447aa17ddda",
+    ("YaZb", 2, "xb", 5):
+        "a462b5c60046739a869c02255116883d50e22f27c0ebdf0eafb8497eddda0ece",
+    ("YaZb", 2, "xb", 6):
+        "5cce8ce1b039970ec72a0573f2c2c7a614970580c0ec780fe1d69a7d22452a4b",
+    ("Yb", 1, "xb", 1):
+        "c5588444dc6a24ab8d9d9617d735ec1915e9eb60457c7d8d082edf6cf57b397e",
+    ("Yb", 1, "xb", 2):
+        "a4d41c2d62fa9acc3d3a707de16c811c318dd56ff47a03b5851d484dec5e56f8",
+    ("Yb", 1, "xb", 3):
+        "05a7f0ba71fa645d96b4d9a03f7a3bb5fba41fad9f0915702ca910d716da222f",
+    ("Zb", 1, "xb", 1):
+        "53fbe32dd53204a850bf8874baa28d302c19384f5591e87f4b8c1f82cc2ad745",
+    ("Zb", 1, "xb", 2):
+        "cfe0211e52a621a19035dc76bb6027273a9f61eb64129045a2f7e6aab03f9081",
+    ("Zb", 1, "xb", 3):
+        "9c0d2284d45a577f5876225ff9b44ab2ef14759f4e268827c5953f6ec50f4d52",
+    ("YaYb", 2, "xa", 1):
+        "53740d1e489aafdc756b5a2bda3e43fedc16df3517db2e73730cb79d63c277da",
+    ("YaYb", 2, "xa", 2):
+        "da0764eac3f99bf96361e6aff6ee6a2ba0b4c482dbac3a15157a08bc82ddde00",
+    ("YaYb", 2, "xa", 3):
+        "804159239c4f04a4f9f3d3dfb1dc20675763e0e87f211d383f504768505b6048",
+    ("ZaZb", 2, "xa", 1):
+        "6a7c858caa44e52151db40282a7d414960df6f7fe5f7af40c466f569043704e3",
+    ("ZaZb", 2, "xa", 2):
+        "025af940ce0c8a685654251de228b60db22c6eec028b6eec837fd1da478df536",
+    ("ZaZb", 2, "xa", 3):
+        "0f88d0a0976243e3b6418ec780d18ea3297c350803d7faedd0ff411a7776e281",
+    ("Yb", 2, "xa", 1):
+        "d94f4aa6235d77e5b979bae3c147e91598dc65169559406253e125bffc99b627",
+    ("Yb", 2, "xa", 2):
+        "4299fb7cde4b9ef5a96047d59d5a45e2445a54862e8d4c4208eeae53f8e06a36",
+    ("Yb", 2, "xa", 3):
+        "d7249e8bbbafeb97de5d25a6150d7399dbfe36f78737f586a7027bc9a035b6df",
+    ("Zb", 2, "xa", 1):
+        "5dd724dac1cab76bbb6d837e4c220f2d3daf3d3373f57c2ff7765a45267c0cbf",
+    ("Zb", 2, "xa", 2):
+        "b908946902d7d436944a7eab11ecfea218e4b30327ec82c2263ceff5d1354cf9",
+    ("Zb", 2, "xa", 3):
+        "7c5299169ab8149de79f53371bc1ff25414f538f9e71c65178ea18ac1ab7d7c6",
+}
+
+
+def model_digest(cfg):
+    model = ssm.build(cfg)
+    payload = {
+        "basis": [[sign, s.x_mask, s.z_mask] for sign, s in generate(cfg).basis],
+        "a": [[e.row, e.col, e.param_id, e.sign] for e in model.a_entries],
+        "b": list(model.b), "c": list(model.c), "odd": list(model.odd),
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_pinned_models_cover_the_orthogonal_catalog():
+    orthogonal = {(label, sensors) for (label, sensors), initials
+                  in CATALOG.items()
+                  if SensorConfig(1, sensors, label, initials[0]).capability
+                  == "orthogonal"}
+    assert orthogonal <= {(label, sensors) for label, sensors, _i, _n
+                          in MODEL_DIGESTS}
+
+
+@pytest.mark.parametrize("label,sensors,initial,n_chain", sorted(MODEL_DIGESTS))
+def test_model_is_pinned(label, sensors, initial, n_chain):
+    cfg = SensorConfig(n_chain, sensors, label, initial)
+    assert model_digest(cfg) == MODEL_DIGESTS[label, sensors, initial, n_chain]
+
+
 @pytest.mark.parametrize("n_chain", [1, 2, 3])
 def test_antisymmetry_everywhere(n_chain):
     for cfg in all_schemes(n_chain):
@@ -167,7 +268,7 @@ def test_build_refuses_a_broken_parity_split(monkeypatch):
     aset = tampered()
     xa, even = aset.basis[0][1], aset.basis[2][1]
     [(pid, coeff, _out)] = aset.derivatives[xa.key()]
-    aset.derivatives[xa.key()] = [(pid, coeff, even)]
+    aset.derivatives[xa.key()] = [(pid, coeff, even.key())]
     with pytest.raises(InadmissibleConfig, match="same Y parity at \\(0,2\\)"):
         ssm.build(cfg)
 

@@ -27,6 +27,10 @@ REFEREES = {
                           "oracle",
     "pauli.dense_state": "Kronecker referee of the oracle's initial density "
                          "matrix",
+    "pauli.multiply": "phase and commutation referee of the inlined "
+                      "derivative kernel",
+    "pauli.commutes": "phase and commutation referee of the inlined "
+                      "derivative kernel",
     "prng.random_binding": "float binding sampler for the tests and "
                            "acceptance",
     "realization.exact_observability_rank": "exact rank behind acceptance 04",
