@@ -211,63 +211,119 @@ def simulate_record(
 
 
 def save_record(record: MeasurementRecord, fh) -> None:
-    """CSV with header t,y,sigma,seed,scheme; floats via repr (bit-exact)."""
-    writer = csv.writer(fh)
+    """CSV with header t,y,sigma,seed,scheme; floats via repr (bit-exact).
+
+    sigma, seed and scheme are the same on every row, so the writer quotes
+    them once, as the suffix every ``t,y`` pair gets.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(RECORD_HEADER)
-    for t, y in zip(record.times, record.values):
-        writer.writerow(
-            [repr(float(t)), repr(float(y)), repr(record.noise_sigma),
-             record.seed, record.scheme_tag]
-        )
+    header = buf.getvalue()
+    writer.writerow(
+        ["", repr(record.noise_sigma), record.seed, record.scheme_tag]
+    )
+    suffix = buf.getvalue()[len(header):]
+    times = np.asarray(record.times, dtype=float).tolist()
+    values = np.asarray(record.values, dtype=float).tolist()
+    fh.write(header + "".join(
+        [f"{t!r},{y!r}{suffix}" for t, y in zip(times, values)]
+    ))
 
 
 def load_record(fh) -> MeasurementRecord:
-    """Parse the CSV that save_record writes; any defect is inadmissible."""
+    """Parse the CSV that save_record writes; any defect is inadmissible.
+
+    One csv pass reads every row and the columns convert whole; only a
+    record with a defect is walked row by row, to name its first bad line.
+    """
     reader = csv.reader(fh)
-    header = tuple(next(reader, ()))
+    rows: list[list[str]] = []
+    try:
+        rows.extend(reader)
+    except csv.Error as err:
+        if rows:  # a defect on an earlier line is named first
+            _check_header(rows[0])
+            _refuse_first_bad_row(rows[1:])
+        raise InadmissibleConfig(
+            f"record line {reader.line_num}: {err}"
+        ) from None
+    _check_header(rows[0] if rows else [])
+    body = list(filter(None, rows[1:]))  # blank lines carry no sample
+    columns = _record_columns(body)
+    if columns is None:
+        # raises on any nonempty body: the columns failed on some row
+        _refuse_first_bad_row(rows[1:])
+    if len(body) < 2:
+        raise InadmissibleConfig("record has fewer than two samples")
+    times, values, sigmas, seeds, tags = columns
+    if (len(set(sigmas.values())) != 1 or len(set(seeds.values())) != 1
+            or len(set(tags)) != 1):
+        raise InadmissibleConfig("record rows disagree on sigma/seed/scheme")
+    steps = np.diff(times)
+    dt = steps[0]
+    if np.any(steps <= 0) or np.max(np.abs(steps - dt)) > 1e-12 * max(1.0, dt):
+        raise InadmissibleConfig("record times must increase uniformly")
+    first = body[0]
+    return MeasurementRecord(
+        times=times,
+        values=values,
+        dt=float(dt),
+        noise_sigma=sigmas[first[2]],
+        scheme_tag=tags[0],
+        seed=seeds[first[3]],
+    )
+
+
+def _check_header(row: list[str]) -> None:
+    header = tuple(row)
     if header != RECORD_HEADER:
         raise InadmissibleConfig(
             f"record header {header!r} does not match {RECORD_HEADER!r}"
         )
-    times, values, sigmas, seeds, tags = [], [], [], [], []
-    for lineno, row in enumerate(reader, start=2):
+
+
+def _record_columns(body: list[list[str]]):
+    """(times, values, sigma by string, seed by string, tags) of the
+    nonblank rows, or None when a row is malformed or out of range."""
+    if set(map(len, body)) != {len(RECORD_HEADER)}:
+        return None
+    t_col, y_col, sigma_col, seed_col, tags = zip(*body)
+    try:
+        times = np.fromiter(map(float, t_col), float, len(body))
+        values = np.fromiter(map(float, y_col), float, len(body))
+        sigmas = {text: float(text) for text in set(sigma_col)}
+        seeds = {text: int(text) for text in set(seed_col)}
+    except ValueError:
+        return None
+    if not (np.isfinite(times).all() and np.isfinite(values).all()
+            and all(math.isfinite(s) and s >= 0 for s in sigmas.values())):
+        return None
+    return times, values, sigmas, seeds, tags
+
+
+def _refuse_first_bad_row(body: list[list[str]]) -> None:
+    """Raise on the first row that is malformed, non-finite or has a
+    negative sigma; line numbers count the header and blank lines."""
+    for lineno, row in enumerate(body, start=2):
         if not row:
             continue
         try:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-            sigmas.append(float(row[2]))
-            seeds.append(int(row[3]))
-            tags.append(row[4])
-        except (ValueError, IndexError):
+            t, y, sigma, seed, _ = row
+            t, y, sigma = float(t), float(y), float(sigma)
+            int(seed)
+        except ValueError:
             raise InadmissibleConfig(
                 f"record line {lineno}: malformed row {row!r}"
             ) from None
-        if not all(map(math.isfinite, (times[-1], values[-1], sigmas[-1]))):
+        if not all(map(math.isfinite, (t, y, sigma))):
             raise InadmissibleConfig(
                 f"record line {lineno}: non-finite value in row {row!r}"
             )
-        if sigmas[-1] < 0:
+        if sigma < 0:
             raise InadmissibleConfig(
                 f"record line {lineno}: negative sigma in row {row!r}"
             )
-    if len(times) < 2:
-        raise InadmissibleConfig("record has fewer than two samples")
-    if len(set(sigmas)) != 1 or len(set(seeds)) != 1 or len(set(tags)) != 1:
-        raise InadmissibleConfig("record rows disagree on sigma/seed/scheme")
-    times_arr = np.array(times)
-    steps = np.diff(times_arr)
-    dt = steps[0]
-    if np.any(steps <= 0) or np.max(np.abs(steps - dt)) > 1e-12 * max(1.0, dt):
-        raise InadmissibleConfig("record times must increase uniformly")
-    return MeasurementRecord(
-        times=times_arr,
-        values=np.array(values),
-        dt=float(dt),
-        noise_sigma=sigmas[0],
-        scheme_tag=tags[0],
-        seed=seeds[0],
-    )
 
 
 def record_to_text(record: MeasurementRecord) -> str:

@@ -468,6 +468,28 @@ def test_estimate_rejects_negative_sigma(tmp_path, capsys):
     assert "line 2" in err and "negative sigma" in err
 
 
+def test_estimate_rejects_a_sixth_field(tmp_path, capsys):
+    rec_path, header, body = _simulated_rows(tmp_path, capsys)
+    body[3].append("junk")
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, _, err = run_cli(
+        ["estimate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
+    assert code == 2
+    assert one_line_error(err)
+    assert "record line 5: malformed row" in err and "'junk'" in err
+
+
+def test_estimate_refuses_a_field_over_the_csv_limit(tmp_path, capsys):
+    rec_path, header, body = _simulated_rows(tmp_path, capsys)
+    body[2][1] = "1" * 200_000
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    code, _, err = run_cli(
+        ["estimate", *CUBE_FLAGS, "--record", str(rec_path)], capsys)
+    assert code == 2
+    assert one_line_error(err)
+    assert err.startswith("error: record line 4: field larger than")
+
+
 def test_estimate_out_of_range_record_is_numeric_failure(tmp_path, capsys):
     rec_path, header, body = _simulated_rows(tmp_path, capsys)
     for row in body:

@@ -7,8 +7,11 @@ denominator route corroborates) and at the order-collapsing ground
 truth (1, 0.8, 0.6), where only the realization-invariant route works.
 """
 
+import csv
+import hashlib
 import io
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +207,196 @@ def test_record_load_rejects_nonuniform_times():
     text = "t,y,sigma,seed,scheme\n0.0,0.0,0.0,0,ZaYb@2q\n0.1,0.1,0.0,0,ZaYb@2q\n0.3,0.2,0.0,0,ZaYb@2q\n"
     with pytest.raises(InadmissibleConfig):
         estimate.record_from_text(text)
+
+
+def referee_save_record(record, fh):
+    """Row-by-row writer: one csv row per sample."""
+    writer = csv.writer(fh)
+    writer.writerow(estimate.RECORD_HEADER)
+    for t, y in zip(record.times, record.values):
+        writer.writerow(
+            [repr(float(t)), repr(float(y)), repr(record.noise_sigma),
+             record.seed, record.scheme_tag]
+        )
+
+
+def referee_load_record(fh):
+    """Row-by-row loader: each row parsed and checked as it is read, five
+    fields to a row, and a row csv cannot read refused with its line."""
+    reader = csv.reader(fh)
+    try:
+        header = tuple(next(reader, ()))
+        if header != estimate.RECORD_HEADER:
+            raise InadmissibleConfig(
+                f"record header {header!r} does not match "
+                f"{estimate.RECORD_HEADER!r}"
+            )
+        times, values, sigmas, seeds, tags = [], [], [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                t, y, sigma, seed, tag = row
+                times.append(float(t))
+                values.append(float(y))
+                sigmas.append(float(sigma))
+                seeds.append(int(seed))
+                tags.append(tag)
+            except ValueError:
+                raise InadmissibleConfig(
+                    f"record line {lineno}: malformed row {row!r}"
+                ) from None
+            if not all(map(math.isfinite,
+                           (times[-1], values[-1], sigmas[-1]))):
+                raise InadmissibleConfig(
+                    f"record line {lineno}: non-finite value in row {row!r}"
+                )
+            if sigmas[-1] < 0:
+                raise InadmissibleConfig(
+                    f"record line {lineno}: negative sigma in row {row!r}"
+                )
+    except csv.Error as err:
+        raise InadmissibleConfig(
+            f"record line {reader.line_num}: {err}"
+        ) from None
+    if len(times) < 2:
+        raise InadmissibleConfig("record has fewer than two samples")
+    if len(set(sigmas)) != 1 or len(set(seeds)) != 1 or len(set(tags)) != 1:
+        raise InadmissibleConfig("record rows disagree on sigma/seed/scheme")
+    times_arr = np.array(times)
+    steps = np.diff(times_arr)
+    dt = steps[0]
+    if np.any(steps <= 0) or np.max(np.abs(steps - dt)) > 1e-12 * max(1.0, dt):
+        raise InadmissibleConfig("record times must increase uniformly")
+    return estimate.MeasurementRecord(
+        times=times_arr, values=np.array(values), dt=float(dt),
+        noise_sigma=sigmas[0], scheme_tag=tags[0], seed=seeds[0],
+    )
+
+
+def seeded_record(cfg, count, noise, seed):
+    model = ssm.build(cfg)
+    binding = random_binding(model.param_ids,
+                             spawn_rng(seed, "pinned-record"))
+    return estimate.simulate_record(
+        model, binding, safe_dt(model, binding), count, noise_sigma=noise,
+        seed=seed,
+    )
+
+
+#: sha256 of record_to_text for seeded_record(cfg, count, noise, N), as the
+#: row-by-row writer produced it
+PINNED_RECORD_TEXT = {
+    ("ladder", 4):
+        "9ae2a101f05d49362a273d1d1e3b01ae06f94041019ff29770af9283ef8c5c7b",
+    ("ladder", 5):
+        "7b914c0f4a7dad91156b48cc73b00bcf1d7f18c88afb3c292712adb62311954e",
+    ("ladder", 6):
+        "0580901cb31a8b019395288bda95e1e540f4c27b99706b03c83c1a64ba38e8f5",
+    ("ladder", 7):
+        "4b14ed1d6577f9dbc9ed7c9051cacbbae48a7d0f4d30f0a2f66fc87b46b03757",
+    ("ladder", 8):
+        "743a8e10e5f10f9ae9041f253b1244d72b15240af16832dbcfe42db061c9e211",
+    ("cube", 1):
+        "fb4bd21cc7578879aaf2fa967cdada6cc63dfe2d622d6f12e04eb927593d9c07",
+    ("cube", 2):
+        "a57bd2ce7a34f05b9cd2836feeced4b410c50c20a2c14588243aad7979ea91dc",
+}
+
+
+def test_record_text_is_pinned():
+    for (scheme, n), digest in PINNED_RECORD_TEXT.items():
+        if scheme == "ladder":
+            rec = seeded_record(ladder_cfg(n), 400, 0.0, n)
+        else:
+            rec = seeded_record(cube_cfg(n), 240, 1e-3, n)
+        text = estimate.record_to_text(rec)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (scheme, n)
+    # tags that need quoting come out as a row-by-row csv.writer quotes them
+    rec = seeded_record(cube_cfg(1), 12, 1e-3, 5)
+    for tag in ("a,b", 'q"x'):
+        rec.scheme_tag = tag
+        referee = io.StringIO()
+        referee_save_record(rec, referee)
+        assert estimate.record_to_text(rec) == referee.getvalue()
+        assert estimate.record_from_text(referee.getvalue()).scheme_tag == tag
+
+
+#: raw CSV text pieces a mutated record is built from; '"0.5"' and
+#: '"a,b"' are quoted fields, "0,junk" adds a column and "1\r2" holds a
+#: carriage return csv refuses in an unquoted field
+CELL_TOKENS = ["nan", "inf", "-0.0", "1e-320", "1e400", "1_0", " 2.5", "05",
+               '"0.5"', "", "-1e-3", "0,junk", "x", "1\r2"]
+SIGMA_TOKENS = ["0.002", "0.0010", "1e-3", "-0.0", "0.0"]
+SEED_TOKENS = ["8", "07", " 7", "7_0", "7.0"]
+TAG_TOKENS = ["YaZb@2q", '"a,b"', '"q""x"', "YaZb@1q "]
+
+
+def mutated_record(rng, bases):
+    rows = [row[:] for row in rng.choice(bases)]
+    body = rows[1:rng.randint(1, len(rows))] if rng.random() < 0.2 \
+        else rows[1:]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["cell", "short", "extra", "blank", "sigma",
+                           "seed", "tag", "time", "swap"])
+        if not body:
+            continue
+        i = rng.randrange(len(body))
+        if kind == "cell" and body[i]:
+            body[i][rng.randrange(len(body[i]))] = rng.choice(CELL_TOKENS)
+        elif kind == "short":
+            body[i] = body[i][:rng.randint(1, 4)]
+        elif kind == "extra":
+            body[i].append(rng.choice(CELL_TOKENS + ["junk"]))
+        elif kind == "blank":
+            body.insert(i, [])
+        elif kind in ("sigma", "seed", "tag") and len(body[i]) == 5:
+            column = {"sigma": 2, "seed": 3, "tag": 4}[kind]
+            tokens = {"sigma": SIGMA_TOKENS, "seed": SEED_TOKENS,
+                      "tag": TAG_TOKENS}[kind]
+            body[i][column] = rng.choice(tokens)
+        elif kind == "time" and body[i]:
+            body[i][0] = repr(rng.uniform(0.0, 2.0))
+        elif kind == "swap" and len(body) > 1:
+            j = rng.randrange(len(body))
+            body[i], body[j] = body[j], body[i]
+    eol = rng.choice(["\n", "\r\n"])
+    text = "".join(",".join(row) + eol for row in [rows[0], *body])
+    if rng.random() < 0.1:
+        text = text[:rng.randrange(len(text))]
+    return text
+
+
+REFUSALS = ("record header", "malformed row", "non-finite value",
+            "negative sigma", "fewer than two samples", "disagree",
+            "increase uniformly", "new-line character")
+
+
+def load_outcome(load, text):
+    try:
+        rec = load(io.StringIO(text))
+    except InadmissibleConfig as err:
+        return "refused", str(err)
+    return ("loaded", rec.times.dtype, rec.times.tobytes(), rec.values.dtype,
+            rec.values.tobytes(), rec.dt.hex(), type(rec.noise_sigma),
+            rec.noise_sigma.hex(), type(rec.seed), rec.seed, rec.scheme_tag)
+
+
+def test_record_loader_matches_row_by_row_referee():
+    bases = []
+    for cfg, noise in ((cube_cfg(1), 1e-3), (ladder_cfg(2), 0.0)):
+        text = estimate.record_to_text(seeded_record(cfg, 8, noise, 7))
+        bases.append([line.split(",") for line in text.splitlines()])
+    rng = random.Random(1604)
+    seen = set()
+    for _ in range(6000):
+        text = mutated_record(rng, bases)
+        expected = load_outcome(referee_load_record, text)
+        assert load_outcome(estimate.load_record, text) == expected, text
+        seen.add("loaded" if expected[0] == "loaded" else
+                 next(k for k in REFUSALS if k in expected[1]))
+    # the corpus reaches a load and every kind of refusal
+    assert seen == {"loaded", *REFUSALS}
 
 
 # -- ERA ---------------------------------------------------------------------

@@ -56,7 +56,10 @@ CUBE_FLAGS = ["--measurement", "YaZb", "--n-chain", "1",
 LADDER_FLAGS = ["--measurement", "ZaYb", "--n-chain", "2",
                 "--set", "ha=1.0", "--set", "hb=0.8", "--set", "h1=0.6"]
 SCHEMES = {"cube": CUBE_FLAGS, "ladder": LADDER_FLAGS}
-VALUES = ["nan", "inf", "-inf", "-1", "1e100", "1e308", "", "x", "0"]
+# a NUL byte, a field over csv's 131072-character limit, a quoted field and
+# a sixth column besides the out-of-range and unparsable values
+VALUES = ["nan", "inf", "-inf", "-1", "1e100", "1e308", "", "x", "0",
+          "\x00", "1" * 200_000, '"0.5"', "0,junk"]
 
 
 def quiet_main(argv):
