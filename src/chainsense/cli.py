@@ -290,11 +290,21 @@ def _scheme_block(config: SensorConfig) -> dict:
 
 
 def _generic_probe(model, rng, capability):
-    """A random exact binding, redrawn off the known degenerate surface."""
+    """A random exact binding, redrawn where the cube's order collapses.
+
+    At N = 2 the cube's one-particle energies e1 < e2 have
+    e1^2 + e2^2 = s = ha^2 + hb^2 + h1^2 and e1 e2 = |ha h1| (in units of
+    the exchange prefactor).  Its minimal order counts the distinct nonzero
+    values of +-e1, +-e2, +-(2 e1 +- e2) and +-(2 e2 +- e1): 12, but 10
+    where e2 = 2 e1 (25 ha^2 h1^2 = 4 s^2) and 8 where e2 = 3 e1
+    (100 ha^2 h1^2 = 9 s^2).
+    """
     for _ in range(10):
         binding = rational_binding(model.param_ids, rng)
-        if capability == "cube" and "h1" in binding:
-            if binding["ha"] ** 2 == binding["hb"] ** 2 + binding["h1"] ** 2:
+        if capability == "cube" and model.config.n_chain == 2:
+            p = (binding["ha"] * binding["h1"]) ** 2
+            s2 = sum(v * v for v in binding.values()) ** 2
+            if 25 * p == 4 * s2 or 100 * p == 9 * s2:
                 continue
         return binding
     return binding

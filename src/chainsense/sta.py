@@ -55,37 +55,51 @@ def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
     """Krylov certificate on explicit numeric triples (no minimality check).
 
     ``a_hp`` is one matrix, which gives one instance, or a stack of shape
-    (k, n, n), which gives a list of k instances.  The Arnoldi basis of
-    ``a_h`` is formed once and serves every slice; each slice gets its own
-    verdict, and one whose Krylov space closes early is degenerate with its
-    own ``breakdown_step``.
+    (k, n, n), which gives a list of k instances.  ``a_h`` is one matrix,
+    the reference of every slice, or a stack matched one to one with
+    ``a_hp``.  One stacked ``ssm.arnoldi`` call forms the bases of the
+    distinct references and of the candidates together.  Each pair gets its
+    own verdict, and a pair in which either Krylov space closes early is
+    degenerate with its own ``breakdown_step``.
     """
     a_h = np.asarray(a_h, dtype=float)
     a_hp = np.asarray(a_hp, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     c = np.asarray(c, dtype=float)
     stack = a_hp[None] if a_hp.ndim == 2 else a_hp
-    n = a_h.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a_h)))
-    q, h = ssm.arnoldi(a_h, x0, n)
-    qp, hp, steps = ssm.arnoldi(stack, x0, n)
-    # a reference basis that closes early leaves every slice degenerate
-    steps = np.minimum(steps, q.shape[1])
-    if q.shape[1] == n:
-        t = np.zeros(stack.shape)
+    n = stack.shape[-1]
+    refs = np.broadcast_to(a_h, stack.shape)
+    # each distinct reference is reduced once; slice i pairs with uniq[pair[i]]
+    keys = [m.tobytes() for m in refs]
+    slot: dict[bytes, int] = {}
+    pair = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=int)
+    uniq = refs[[keys.index(key) for key in slot]]
+    r = len(uniq)
+    scales = np.maximum(1.0, np.linalg.norm(refs, axis=(1, 2)))
+    q, h, steps = ssm.arnoldi(np.concatenate([uniq, stack]), x0, n)
+    # a pair is degenerate where either of its Krylov spaces closes early
+    steps = np.minimum(steps[:r][pair], steps[r:])
+    full = steps == n
+    if full.any():
+        q, h, qp, hp = (q[:r][pair][full], h[:r][pair][full],
+                        q[r:][full], h[r:][full])
+        t = np.zeros(hp.shape)
         t[:, 0, 0] = 1.0
         for j in range(n - 1):
-            t[:, :, j + 1] = ((hp @ t[:, :, j, None])[:, :, 0]
-                              - t[:, :, : j + 1] @ h[: j + 1, j]) / h[j + 1, j]
-        s = qp @ t @ q.T
+            t[:, :, j + 1] = ((hp @ t[:, :, j, None] - t[:, :, : j + 1]
+                               @ h[:, : j + 1, j, None])[:, :, 0]
+                              / h[:, j + 1, j, None])
+        s = np.zeros(stack.shape)
+        s[full] = qp @ t @ q.transpose(0, 2, 1)
         residuals = np.sqrt(
-            np.sum((s @ a_h - stack @ s) ** 2, axis=(1, 2))
+            np.sum((s @ refs - stack @ s) ** 2, axis=(1, 2))
             + np.sum((s @ x0 - x0) ** 2, axis=1)
             + np.sum((c @ s - c) ** 2, axis=1))
         dets = np.linalg.det(s)
         s_fros = np.linalg.norm(s, axis=(1, 2))
     out = []
     for i, reached in enumerate(steps):
+        scale = float(scales[i])
         if reached < n:
             out.append(STAInstance(
                 dim=n, residual=float("inf"), affine_dim=n - int(reached),
@@ -237,6 +251,12 @@ def identifiability_scan(
     nonsingular S (equivalent), every magnitude perturbation must not
     (inequivalent).  Orthogonal schemes are vacuously unidentifiable; the
     cube scheme is decided by the symbolic route, not here.
+
+    Each trial draws its binding, sign patterns and perturbations from its
+    own ``spawn_rng`` stream.  Every trial's bindings are then reduced as
+    one stack, each trial's reference is refereed on its own slice at odd
+    N, and one certificate call pairs every candidate with its trial's
+    reference.
     """
     config = model.config
     if config.capability == "orthogonal":
@@ -248,7 +268,7 @@ def identifiability_scan(
                           identifiable_in_magnitude=None,
                           reason="decided by the symbolic elimination route")
     flippable = [p for p in model.param_ids if p != "ha"]
-    trial_rows = []
+    drawn, bindings = [], []
     for t in range(trials):
         rng = spawn_rng(seed, "scan", config.scheme_tag, str(config.n_chain), str(t))
         binding = rational_binding(model.param_ids, rng)
@@ -267,15 +287,24 @@ def identifiability_scan(
             factor = 1 + delta if rng.random() < 0.5 else 1 / (1 + delta)
             perturbed.append({**binding, pid: binding[pid] * factor})
         flipped = [flip_binding(binding, set(pat)) for pat in patterns]
-        a, b, c = _minimal_triple(model, [binding, *flipped, *perturbed])
+        drawn.append((binding, len(patterns), len(bindings)))
+        bindings += [binding, *flipped, *perturbed]
+    a, b, c = _minimal_triple(model, bindings)
+    refs, cands = [], []
+    for binding, n_flips, start in drawn:
         if config.n_chain % 2:
-            _referee(model, binding, a[0])
-        insts = solve_similarity_raw(a[0], a[1:], b, c)
-        flips, perturbs = insts[: len(patterns)], insts[len(patterns):]
+            _referee(model, binding, a[start])
+        refs += [start] * (n_flips + n_perturb)
+        cands += range(start + 1, start + 1 + n_flips + n_perturb)
+    insts = iter(solve_similarity_raw(a[refs], a[cands], b, c))
+    trial_rows = []
+    for binding, n_flips, _ in drawn:
+        flips = [next(insts) for _ in range(n_flips)]
+        perturbs = [next(insts) for _ in range(n_perturb)]
         equivalent = [i for i in flips if i.verdict == "equivalent"]
         trial_rows.append(ScanTrial(
             binding={k: float(v) for k, v in binding.items()},
-            sign_flips_checked=len(patterns),
+            sign_flips_checked=n_flips,
             sign_flips_equivalent=len(equivalent),
             perturbations_checked=n_perturb,
             perturbations_inequivalent=sum(

@@ -16,7 +16,7 @@ import pytest
 
 from chainsense import cli, estimate, realization, ssm
 from chainsense.accessible import CATALOG, SensorConfig
-from chainsense.prng import random_binding, spawn_rng
+from chainsense.prng import random_binding, rational_binding, spawn_rng
 
 
 def run_cli(argv, capsys):
@@ -105,6 +105,21 @@ def test_analyze_cube_identifiable(capsys):
         ["analyze", "--measurement", "YaZb", "--n-chain", "2"], capsys)
     assert code == 0
     assert "'identifiable'" in out
+    assert "minimal_order = 12" in out
+
+
+def test_analyze_cube_probe_redraws_off_collapse_surfaces(capsys):
+    # seed 1662 first draws (5/4, -15/16, 25/16), where the one-particle
+    # energies have e2 = 2 e1 (25 ha^2 h1^2 = 4 s^2) and the order is 10
+    model = ssm.build(SensorConfig(2, 2, "YaZb", "xb"))
+    rng = spawn_rng(1662, "analyze", model.config.scheme_tag, "2")
+    first = rational_binding(model.param_ids, rng)
+    s = sum(v * v for v in first.values())
+    assert 25 * (first["ha"] * first["h1"]) ** 2 == 4 * s ** 2
+    code, out, _ = run_cli(
+        ["analyze", "--measurement", "YaZb", "--initial", "xb",
+         "--n-chain", "2", "--seed", "1662"], capsys)
+    assert code == 0
     assert "minimal_order = 12" in out
 
 
@@ -1006,6 +1021,26 @@ def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
         got = builds(["oracle-check", *flags])
         assert len(got) == 5
         assert len(set(got[1:])) == 4
+
+
+def test_ladder_analyze_makes_one_arnoldi_pass_per_reduction(capsys, monkeypatch):
+    # the observability rank, the two Kalman stages and one certificate for
+    # the whole scan; at odd N one more for the scan's stacked reduction.  A
+    # 2-D call runs as a stack of one, so counting stacks counts passes
+    passes = []
+    arnoldi = ssm.arnoldi
+
+    def counted(a, v, count):
+        if np.ndim(a) == 3:
+            passes.append(len(a))
+        return arnoldi(a, v, count)
+
+    monkeypatch.setattr(ssm, "arnoldi", counted)
+    for n_chain, expected in ((8, 4), (9, 5)):
+        passes.clear()
+        assert run_cli(["analyze", "--measurement", "ZaYb",
+                        "--n-chain", str(n_chain)], capsys)[0] == 0
+        assert len(passes) == expected
 
 
 def test_benchmark_designated_functions_exist():

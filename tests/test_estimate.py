@@ -654,9 +654,10 @@ def test_cube_recovery_noiseless_generic():
 
 
 def test_cube_recovery_noiseless_on_collapse_surface():
-    # (1, 0.8, 0.6) satisfies ha^2 = hb^2 + h1^2; the minimal order drops
-    # to 8 and the denominator route is unavailable, but the Markov-data
-    # route still recovers every magnitude
+    # at (1, 0.8, 0.6) the one-particle energies have e2 = 3 e1
+    # (100 ha^2 h1^2 = 9 s^2 with s = ha^2 + hb^2 + h1^2); the minimal order
+    # drops to 8 and the denominator route is unavailable, but the
+    # Markov-data route still recovers every magnitude
     cfg = cube_cfg(2)
     binding = {"ha": 1.0, "hb": 0.8, "h1": 0.6}
     out = estimate.recover_parameters(make_record(cfg, binding, 120), cfg)

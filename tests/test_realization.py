@@ -302,12 +302,28 @@ def test_kalman_order_is_exact_hankel_rank(build, n_chain):
     model = build(n_chain)
     binding = rational_binding(
         model.param_ids, spawn_rng(47, "kalman-hankel", str(n_chain)))
+    real = realization.kalman_minimal(model, binding)
+    assert real.order == exact_hankel_rank(model, binding)
+    assert real.diagnostics["markov_residual"] < 1e-8
+
+
+def exact_hankel_rank(model, binding):
     a, b, c = ssm.evaluate_exact(model, binding)
     markov = ssm.markov(a, b, c, 2 * model.dim)
-    hankel = [markov[i:i + model.dim] for i in range(model.dim)]
-    real = realization.kalman_minimal(model, binding)
-    assert real.order == exact.rank(hankel)
-    assert real.diagnostics["markov_residual"] < 1e-8
+    return exact.rank([markov[i:i + model.dim] for i in range(model.dim)])
+
+
+@pytest.mark.parametrize("ha,hb,h1,order", [
+    # one-particle energies e2 = 2 e1: 25 ha^2 h1^2 = 4 s^2
+    (4, 3, 5, 10),
+    # e2 = 3 e1: 100 ha^2 h1^2 = 9 s^2
+    (3, 4, 5, 8),
+    # ha^2 = hb^2 + h1^2 alone is no collapse surface
+    (Fraction(13, 8), Fraction(5, 8), Fraction(12, 8), 12),
+])
+def test_cube_order_collapses_on_energy_ratio_surfaces(ha, hb, h1, order):
+    binding = {"ha": Fraction(ha), "hb": Fraction(hb), "h1": Fraction(h1)}
+    assert exact_hankel_rank(cube(2), binding) == order
 
 
 @pytest.mark.parametrize("n_chain", [61, 70])

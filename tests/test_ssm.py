@@ -21,7 +21,7 @@ from chainsense import estimate, pauli, ssm
 from chainsense.accessible import CATALOG, SensorConfig, generate
 from chainsense.errors import InadmissibleConfig, NumericFailure
 from chainsense.pauli import dense_hamiltonian, dense_matrix, dense_state
-from chainsense.prng import random_binding, spawn_rng
+from chainsense.prng import random_binding, rational_binding, spawn_rng
 
 
 def quantum_impulse(cfg: SensorConfig, binding: dict[str, float], times) -> np.ndarray:
@@ -239,6 +239,25 @@ def test_antisymmetry_everywhere(n_chain):
         assert np.array_equal(a, -a.T)
 
 
+@pytest.mark.parametrize("n_chain", [1, 2, 3])
+def test_evaluate_matches_an_entry_loop(n_chain):
+    """A stack, filled by one indexed assignment, and a single binding both
+    match a loop over the entries bit for bit, signed zeros included."""
+    for cfg in all_schemes(n_chain):
+        model = ssm.build(cfg)
+        rng = spawn_rng(9, "evaluate", cfg.scheme_tag, str(n_chain))
+        bindings = [rational_binding(model.param_ids, rng),
+                    random_binding(model.param_ids, rng),
+                    dict.fromkeys(model.param_ids, 0.0)]
+        stack, _, _ = ssm.evaluate(model, bindings)
+        for a, binding in zip(stack, bindings):
+            ref = np.zeros((model.dim, model.dim))
+            for e in model.a_entries:
+                ref[e.row, e.col] = e.sign * float(binding[e.param_id])
+            assert a.tobytes() == ref.tobytes()
+            assert ssm.evaluate(model, binding)[0].tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("n_chain", range(1, 8))
 def test_parity_split_everywhere(n_chain):
     """A joins only opposite Y parities, B is even, and C is odd wherever B
@@ -437,6 +456,25 @@ def test_stacked_arnoldi_slices_match_single_calls(scheme, n_chain):
             assert not h[i, width:].any() and not h[i, :, width:].any()
         if v is not starts:
             assert steps[-1] == 2 < min(steps[:-1])
+
+
+@pytest.mark.parametrize("scheme,n_chain,count", [
+    (("ZaYb", "xa"), 9, 34), (("YaZb", "xb"), 2, 17)])
+def test_stacked_arnoldi_slices_are_bit_identical(scheme, n_chain, count):
+    """A slice of a stack reproduces the one-matrix call to the last bit, so
+    batching more bindings into one call cannot move a width or a verdict."""
+    model = ssm.build(SensorConfig(n_chain, 2, *scheme))
+    rng = spawn_rng(8, "bits", *scheme, str(n_chain))
+    a, b, c = ssm.evaluate(
+        model, [rational_binding(model.param_ids, rng) for _ in range(count)])
+    for stack, v in ((a, b), (a.transpose(0, 2, 1), c)):
+        q, h, steps = ssm.arnoldi(stack, v, model.dim)
+        for i in range(count):
+            q_i, h_i = ssm.arnoldi(stack[i], v, model.dim)
+            width = q_i.shape[1]
+            assert steps[i] == width
+            assert np.array_equal(q[i, :, :width], q_i)
+            assert np.array_equal(h[i, :width, :width], h_i)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

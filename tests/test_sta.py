@@ -218,6 +218,28 @@ def test_stacked_certificate_breakdown_is_per_slice():
     assert closed.s_matrix is None
 
 
+def test_stacked_reference_breakdown_is_per_pair():
+    """With one reference per candidate, a reference whose Krylov space
+    closes early leaves only its own pair degenerate."""
+    full = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+    flipped = full * np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+    closed = np.diag([1.0, 2.0, 3.0])
+    x0 = np.array([1.0, 0.0, 0.0])
+    same, broken, flip = sta.solve_similarity_raw(
+        np.stack([full, closed, full]), np.stack([full, full, flipped]), x0, x0)
+    assert broken.verdict == "degenerate"
+    assert broken.diagnostics["breakdown_step"] == 1
+    assert broken.affine_dim == 2
+    assert broken.s_matrix is None
+    assert same.verdict == flip.verdict == "equivalent"
+    assert np.allclose(same.s_matrix, np.eye(3), atol=1e-12)
+    assert np.allclose(flip.s_matrix, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
+    for got, want in zip((same, flip), sta.solve_similarity_raw(
+            full, np.stack([full, flipped]), x0, x0)):
+        assert got.verdict == want.verdict
+        assert got.residual == pytest.approx(want.residual, abs=1e-14)
+
+
 @pytest.mark.parametrize("n_chain", range(2, 10))
 def test_stacked_certificates_match_one_at_a_time(n_chain):
     """Every sign pattern of the unknown couplings and every coupling moved
@@ -297,14 +319,12 @@ def serial_scan_trials(model, trials, seed, n_perturb):
     return rows
 
 
-@pytest.mark.parametrize("n_perturb", [0, 8])
-@pytest.mark.parametrize("n_chain", range(2, 10))
-def test_identifiability_scan_matches_serial_referee(n_chain, n_perturb):
-    model = ladder(n_chain)
-    report = sta.identifiability_scan(model, trials=2, seed=31, n_perturb=n_perturb)
+def check_scan_against_serial(model, trials, n_perturb):
+    report = sta.identifiability_scan(model, trials=trials, seed=31,
+                                      n_perturb=n_perturb)
     assert report.identifiable_in_magnitude is True
-    serial = serial_scan_trials(model, trials=2, seed=31, n_perturb=n_perturb)
-    assert len(report.trials) == len(serial) == 2
+    serial = serial_scan_trials(model, trials=trials, seed=31, n_perturb=n_perturb)
+    assert len(report.trials) == len(serial) == trials
     for got, want in zip(report.trials, serial):
         assert got.binding == want.binding
         assert got.sign_flips_checked == want.sign_flips_checked
@@ -319,6 +339,17 @@ def test_identifiability_scan_matches_serial_referee(n_chain, n_perturb):
         assert np.allclose(got.witness_s, want.witness_s, rtol=0, atol=1e-12)
     if n_perturb == 0:
         assert all(t.best_inequiv_residual == float("inf") for t in report.trials)
+
+
+@pytest.mark.parametrize("n_perturb", [0, 8])
+@pytest.mark.parametrize("n_chain", range(2, 10))
+def test_identifiability_scan_matches_serial_referee(n_chain, n_perturb):
+    check_scan_against_serial(ladder(n_chain), 2, n_perturb)
+
+
+@pytest.mark.parametrize("n_chain", range(2, 10))
+def test_identifiability_scan_matches_serial_referee_at_three_trials(n_chain):
+    check_scan_against_serial(ladder(n_chain), 3, 8)
 
 
 def test_exact_certificate_lifts_the_dim_cap():

@@ -439,9 +439,11 @@ def test_cube_minimal_denominator_divides_char_poly(cube2, cube2_transfer):
 
 
 def test_cube_minimal_order_collapses_on_pythagorean_surface(cube2, cube2_transfer):
-    # ha^2 = hb^2 + h1^2 is a degeneracy surface: the generic order-12
-    # minimal realization drops to order 8 there, and the s^10 coefficient
-    # no longer reads 11*(ha^2 + hb^2 + h1^2)
+    # (1, 4/5, 3/5) satisfies ha^2 = hb^2 + h1^2, but the collapse comes
+    # from its one-particle energies, e2 = 3 e1 (100 ha^2 h1^2 = 9 s^2 with
+    # s = ha^2 + hb^2 + h1^2): the generic order-12 minimal realization
+    # drops to order 8 there, and the s^10 coefficient no longer reads
+    # 11*(ha^2 + hb^2 + h1^2)
     binding = {"ha": Fraction(1), "hb": Fraction(4, 5), "h1": Fraction(3, 5)}
     with pytest.raises(NumericFailure):
         minimal_denominator_exact(cube2, binding, 12)
