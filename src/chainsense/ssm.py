@@ -145,31 +145,21 @@ def build(config: SensorConfig) -> StateSpaceModel:
 
 def evaluate(model: StateSpaceModel, binding: Binding | list[Binding]):
     """Dense float (A, B, C) at a numeric binding.  A list of k bindings
-    gives A as a stack of shape (k, dim, dim); B and C do not depend on the
-    binding.
-
-    A stack is filled by one indexed assignment.  One binding is filled
-    entry by entry: forming the index arrays costs about as much as that
-    loop, and most models are evaluated once.
-    """
-    b = np.array(model.b, dtype=float)
-    c = np.array(model.c, dtype=float)
-    if not isinstance(binding, list):
-        value = {p: float(binding[p]) for p in {e.param_id for e in model.a_entries}}
-        a = np.zeros((model.dim, model.dim))
-        for e in model.a_entries:
-            a[e.row, e.col] = e.sign * value[e.param_id]
-        return a, b, c
+    gives A as a stack of shape (k, dim, dim), filled by one indexed
+    assignment; B and C do not depend on the binding."""
+    bindings = binding if isinstance(binding, list) else [binding]
     rows, cols, pids, signs = tuple(zip(*model.a_entries)) or ((),) * 4
     params = tuple(dict.fromkeys(pids))
     slot = {p: k for k, p in enumerate(params)}
-    values = np.array([[float(bound[p]) for p in params] for bound in binding],
-                      dtype=float).reshape(len(binding), len(params))
-    a = np.zeros((len(binding), model.dim, model.dim))
+    values = np.array([[float(bound[p]) for p in params] for bound in bindings],
+                      dtype=float).reshape(len(bindings), len(params))
+    a = np.zeros((len(bindings), model.dim, model.dim))
     a[:, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = (
         np.array(signs, dtype=float)
         * values[:, np.array([slot[p] for p in pids], dtype=np.intp)])
-    return a, b, c
+    b = np.array(model.b, dtype=float)
+    c = np.array(model.c, dtype=float)
+    return (a if isinstance(binding, list) else a[0]), b, c
 
 
 def evaluate_exact(model: StateSpaceModel, binding: dict[str, Fraction]):

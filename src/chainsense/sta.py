@@ -51,16 +51,17 @@ class STAInstance:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
+def solve_similarity_raw(a_h, a_hp, x0, c, pair=None) -> STAInstance | list[STAInstance]:
     """Krylov certificate on explicit numeric triples (no minimality check).
 
     ``a_hp`` is one matrix, which gives one instance, or a stack of shape
     (k, n, n), which gives a list of k instances.  ``a_h`` is one matrix,
-    the reference of every slice, or a stack matched one to one with
-    ``a_hp``.  One stacked ``ssm.arnoldi`` call forms the bases of the
-    distinct references and of the candidates together.  Each pair gets its
-    own verdict, and a pair in which either Krylov space closes early is
-    degenerate with its own ``breakdown_step``.
+    the reference of every candidate, or a stack of references: candidate
+    i pairs with ``a_h[pair[i]]``, and without ``pair`` the stack is
+    matched one to one with ``a_hp``.  One stacked ``ssm.arnoldi`` call
+    forms the bases of the references and of the candidates together.  Each
+    pair gets its own verdict, and a pair in which either Krylov space
+    closes early is degenerate with its own ``breakdown_step``.
     """
     a_h = np.asarray(a_h, dtype=float)
     a_hp = np.asarray(a_hp, dtype=float)
@@ -68,15 +69,14 @@ def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
     c = np.asarray(c, dtype=float)
     stack = a_hp[None] if a_hp.ndim == 2 else a_hp
     n = stack.shape[-1]
-    refs = np.broadcast_to(a_h, stack.shape)
-    # each distinct reference is reduced once; slice i pairs with uniq[pair[i]]
-    keys = [m.tobytes() for m in refs]
-    slot: dict[bytes, int] = {}
-    pair = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=int)
-    uniq = refs[[keys.index(key) for key in slot]]
-    r = len(uniq)
-    scales = np.maximum(1.0, np.linalg.norm(refs, axis=(1, 2)))
-    q, h, steps = ssm.arnoldi(np.concatenate([uniq, stack]), x0, n)
+    refs = a_h.reshape(-1, n, n)
+    if pair is None:
+        pair = range(len(stack)) if a_h.ndim == 3 else [0] * len(stack)
+    pair = np.asarray(pair, dtype=np.intp)
+    r = len(refs)
+    paired = refs[pair]
+    scales = np.maximum(1.0, np.linalg.norm(paired, axis=(1, 2)))
+    q, h, steps = ssm.arnoldi(np.concatenate([refs, stack]), x0, n)
     # a pair is degenerate where either of its Krylov spaces closes early
     steps = np.minimum(steps[:r][pair], steps[r:])
     full = steps == n
@@ -92,7 +92,7 @@ def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
         s = np.zeros(stack.shape)
         s[full] = qp @ t @ q.transpose(0, 2, 1)
         residuals = np.sqrt(
-            np.sum((s @ refs - stack @ s) ** 2, axis=(1, 2))
+            np.sum((s @ paired - stack @ s) ** 2, axis=(1, 2))
             + np.sum((s @ x0 - x0) ** 2, axis=1)
             + np.sum((c @ s - c) ** 2, axis=1))
         dets = np.linalg.det(s)
@@ -255,8 +255,8 @@ def identifiability_scan(
     Each trial draws its binding, sign patterns and perturbations from its
     own ``spawn_rng`` stream.  Every trial's bindings are then reduced as
     one stack, each trial's reference is refereed on its own slice at odd
-    N, and one certificate call pairs every candidate with its trial's
-    reference.
+    N, and one certificate call takes the trials' references and pairs
+    every candidate with its own trial's.
     """
     config = model.config
     if config.capability == "orthogonal":
@@ -290,13 +290,14 @@ def identifiability_scan(
         drawn.append((binding, len(patterns), len(bindings)))
         bindings += [binding, *flipped, *perturbed]
     a, b, c = _minimal_triple(model, bindings)
-    refs, cands = [], []
-    for binding, n_flips, start in drawn:
+    pair, cands = [], []
+    for t, (binding, n_flips, start) in enumerate(drawn):
         if config.n_chain % 2:
             _referee(model, binding, a[start])
-        refs += [start] * (n_flips + n_perturb)
+        pair += [t] * (n_flips + n_perturb)
         cands += range(start + 1, start + 1 + n_flips + n_perturb)
-    insts = iter(solve_similarity_raw(a[refs], a[cands], b, c))
+    insts = iter(solve_similarity_raw(
+        a[[start for _, _, start in drawn]], a[cands], b, c, pair))
     trial_rows = []
     for binding, n_flips, _ in drawn:
         flips = [next(insts) for _ in range(n_flips)]

@@ -219,14 +219,21 @@ def test_stacked_certificate_breakdown_is_per_slice():
 
 
 def test_stacked_reference_breakdown_is_per_pair():
-    """With one reference per candidate, a reference whose Krylov space
-    closes early leaves only its own pair degenerate."""
+    """With a stack of references, matched one to one or through ``pair``,
+    a reference whose Krylov space closes early leaves only its own pair
+    degenerate."""
     full = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
     flipped = full * np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
     closed = np.diag([1.0, 2.0, 3.0])
     x0 = np.array([1.0, 0.0, 0.0])
     same, broken, flip = sta.solve_similarity_raw(
         np.stack([full, closed, full]), np.stack([full, full, flipped]), x0, x0)
+    for got, want in zip(sta.solve_similarity_raw(
+            np.stack([full, closed]), np.stack([full, full, flipped]), x0, x0,
+            pair=[0, 1, 0]), (same, broken, flip)):
+        assert got.verdict == want.verdict
+        assert got.residual == want.residual
+        assert got.diagnostics == want.diagnostics
     assert broken.verdict == "degenerate"
     assert broken.diagnostics["breakdown_step"] == 1
     assert broken.affine_dim == 2
