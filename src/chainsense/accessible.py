@@ -125,30 +125,33 @@ Term = tuple[str, int, tuple[int, int]]
 
 def closure(
     ham: HamiltonianSpec, seed: PauliString
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], list[Term]]]:
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], list[Term]],
+           dict[tuple[int, int], PauliString]]:
     """Breadth-first commutator closure.
 
-    Returns ({string key: depth}, {string key: derivative terms}), both keyed
-    by (X mask, Z mask).  Each element's i[H, .] is expanded exactly once,
-    from the one :class:`PauliString` made for that element, and every
+    Returns ({string key: depth}, {string key: derivative terms},
+    {string key: phase-0 string}), all keyed by (X mask, Z mask).  Each
+    element's i[H, .] is expanded exactly once, from the one
+    :class:`PauliString` made for that element (the third table), and every
     string it produces joins the set, so the second table covers the set and
     stays inside it.
     """
     start = seed.key()
     depths = {start: 0}
     derivatives: dict[tuple[int, int], list[Term]] = {}
+    strings: dict[tuple[int, int], PauliString] = {}
     frontier = [start]
     while frontier:
         nxt = []
         for key in frontier:
-            terms = derivatives[key] = heisenberg_derivative(
-                ham, PauliString(seed.n_qubits, *key))
+            string = strings[key] = PauliString(seed.n_qubits, *key)
+            terms = derivatives[key] = heisenberg_derivative(ham, string)
             for _pid, _coeff, out in terms:
                 if out not in depths:
                     depths[out] = depths[key] + 1
                     nxt.append(out)
         frontier = nxt
-    return depths, derivatives
+    return depths, derivatives, strings
 
 
 # -- canonical orders -------------------------------------------------------
@@ -241,7 +244,8 @@ def generate(config: SensorConfig) -> AccessibleSet:
     closure: same elements, no more, no fewer.  Since the closure adds every
     derivative output, that check also proves the set closed.
     """
-    depths, derivatives = closure(config.hamiltonian(), config.measurement_string())
+    depths, derivatives, strings = closure(config.hamiltonian(),
+                                           config.measurement_string())
     cls = config.capability
     n = config.n_qubits
 
@@ -254,12 +258,12 @@ def generate(config: SensorConfig) -> AccessibleSet:
             basis = [(1, parse_string(t, n)) for t in _CUBE_ORDER_N2]
         else:
             ordered = sorted(depths, key=lambda k: (depths[k], k[0], k[1]))
-            basis = [(1, PauliString(n, x, z, 0)) for x, z in ordered]
+            basis = [(1, strings[key]) for key in ordered]
     elif config.scheme_tag == "Yb@1q":
         basis = single_yb_basis(config.n_chain)
     else:
         ordered = sorted(depths, key=lambda k: (depths[k], k[0], k[1]))
-        basis = [(1, PauliString(n, x, z, 0)) for x, z in ordered]
+        basis = [(1, strings[key]) for key in ordered]
 
     aset = AccessibleSet(basis=tuple(basis), derivatives=derivatives)
     if {s.key() for _sg, s in basis} != set(depths):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -492,6 +493,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # -- oracle-check ------------------------------------------------------------
 
 
+@functools.cache
+def _closed_form_ladders() -> dict[int, ssm.StateSpaceModel]:
+    """The ladder models N = 2..5 that oracle-check's closed forms are
+    checked on.  They do not depend on the input, so each process builds
+    them once."""
+    return {n: ssm.build(SensorConfig(n, 2, "ZaYb", "xa"))
+            for n in (2, 3, 4, 5)}
+
+
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     _refuse_flags(args, "oracle-check", "dt", "count", "noise_sigma", "record")
     run = build_run_config(args)
@@ -532,8 +542,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     evidence: dict = {"times_checked": len(times)}
 
     # closed-form cross-checks on the two-qubit ladder family
-    ladders = {n: ssm.build(SensorConfig(n, 2, "ZaYb", "xa"))
-               for n in (2, 3, 4, 5)}
+    ladders = _closed_form_ladders()
     ladder_checks = {}
     for n, lmodel in ladders.items():
         lbind = rational_binding(
@@ -609,7 +618,10 @@ class _Parser(argparse.ArgumentParser):
         raise InadmissibleConfig(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: it holds no
+    state between parses, and each parse makes its own namespace."""
     parser = _Parser(
         prog="chainsense",
         description="identifiability analysis and estimation for "

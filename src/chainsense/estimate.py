@@ -84,37 +84,65 @@ def exact_quantum_expectation(
     y(t) = sum over sector pairs of e_k(t)^T W e_k'(t)^*, with
     e_k(t) = e^{i w_k t} and W = (V_k^H M V_k') * conj(V_k^H rho0 V_k').
     No 2^n x 2^n matrix is formed; the oracle keeps the 14-qubit cap.
+
+    H also commutes with the global flip F = X^{(x)n}, which maps sector k
+    onto sector n - k in reversed order.  So H_{n-k} = R H_k R, with R the
+    order reversal, and V_{n-k} = V_k[::-1] with the same eigenvalues:
+    only the sectors k <= n/2 are diagonalized.  F M F = eps M, with
+    eps = -1 to the number of Y and Z letters of M, and F fixes every X_S,
+    so the pair (n - k, n - k') contributes eps times the pair (k, k').
+    Each mirrored pair is summed once with weight 1 + eps; a pair that is
+    its own mirror has weight 1.  A term with an odd number of Y and Z
+    letters (a Z field, say) breaks F and is refused.
     """
     n = ham.n_qubits
     sectors = excitation_sectors(n)
+    for pid, term in ham.terms:
+        if term.z_mask.bit_count() & 1:
+            raise InadmissibleConfig(
+                f"Hamiltonian term {pid} has an odd number of Y and Z "
+                "letters, so it breaks the global flip symmetry the oracle "
+                "uses"
+            )
     position = np.empty(1 << n, dtype=np.intp)
     for sector in sectors:
         position[sector] = np.arange(len(sector))
     t = np.atleast_1d(np.asarray(times, dtype=float))
     everything = np.arange(1 << n)
     m_targets, m_signs, m_phase = basis_action(meas, everything)
+    flip = -1 if meas.z_mask.bit_count() & 1 else 1
     prepared = sorted(state.prepared_x)
     rho_strings = [
         basis_action(from_letters(n, {q: "X" for q in subset}), everything)[:2]
         for r in range(len(prepared) + 1)
         for subset in itertools.combinations(prepared, r)
     ]
+    half = n // 2
 
     # huge couplings overflow the phases; the finiteness check below
     # refuses what comes out
     with np.errstate(over="ignore", invalid="ignore"):
-        eigen = []
-        for sector in sectors:
-            block = dense_hamiltonian(ham, binding, sector)
-            if not block.imag.any():
-                block = block.real
-            w, v = np.linalg.eigh(block)
-            eigen.append((v, np.exp(1j * np.outer(t, w))))
+        # the blocks share one buffer, freed once the last is solved, so
+        # the largest (the middle sector) is solved first, before any
+        # eigenbasis is kept
+        solved = [np.linalg.eigh(block) for block in reversed(
+            dense_hamiltonian(ham, binding, spans=sectors[:half + 1]))]
+        eigen = [(v, np.exp(1j * np.outer(t, w))) for w, v in reversed(solved)]
+        eigen += [(v[::-1], e) for v, e in reversed(eigen[:n - half])]
 
         y = np.zeros(len(t), dtype=complex)
-        for src, (v_src, e_src) in zip(sectors, eigen):
+        for j, src in enumerate(sectors[:half + 1]):
+            v_src, e_src = eigen[j]
             targets = m_targets[src]
             for k in np.unique(np.bitwise_count(targets)):
+                if (k, j) == (n - k, n - j):
+                    weight = 1
+                elif j == n - j and k > n - k:
+                    continue  # its mirror (n - k, j) is summed instead
+                else:
+                    weight = 1 + flip
+                if not weight:
+                    continue
                 v_dst, e_dst = eigen[k]
                 m_eig = _eigen_block(targets, m_signs[src], k, position,
                                      v_dst, v_src)
@@ -123,8 +151,8 @@ def exact_quantum_expectation(
                                  v_dst, v_src)
                     for x_targets, x_signs in rho_strings
                 )
-                y += np.sum((e_dst @ (m_eig * rho_eig.conj()))
-                            * e_src.conj(), axis=1)
+                y += weight * np.sum((e_dst @ (m_eig * rho_eig.conj()))
+                                     * e_src.conj(), axis=1)
         y *= m_phase / (1 << n)
     if not np.isfinite(y).all():
         raise NumericFailure("quantum oracle produced a non-finite expectation")
@@ -234,10 +262,73 @@ def save_record(record: MeasurementRecord, fh) -> None:
 def load_record(fh) -> MeasurementRecord:
     """Parse the CSV that save_record writes; any defect is inadmissible.
 
-    One csv pass reads every row and the columns convert whole; only a
-    record with a defect is walked row by row, to name its first bad line.
+    One csv pass appends each row's fields to one flat list, so no row's
+    list outlives its line, and the columns convert whole.  Only a record
+    with a defect is parsed a second time, row by row, to name its first
+    bad line.
     """
-    reader = csv.reader(fh)
+    lines = fh.readlines()
+    reader = csv.reader(lines)
+    width = len(RECORD_HEADER)
+    fields: list[str] = []
+    columns = None
+    try:
+        header = tuple(next(reader, ()))
+        for row in reader:
+            if len(row) == width:
+                fields += row
+            elif row:  # blank lines carry no sample; any other row is bad
+                break
+        else:
+            if header == RECORD_HEADER:
+                columns = _record_columns(fields)
+    except csv.Error:
+        pass  # the second parse below names the line
+    if columns is None:
+        _refuse_record(lines)  # raises: some line of the record is bad
+    times, values, sigmas, seeds, tags = columns
+    if len(times) < 2:
+        raise InadmissibleConfig("record has fewer than two samples")
+    if (len(set(sigmas.values())) != 1 or len(set(seeds.values())) != 1
+            or len(set(tags)) != 1):
+        raise InadmissibleConfig("record rows disagree on sigma/seed/scheme")
+    steps = np.diff(times)
+    dt = steps[0]
+    if np.any(steps <= 0) or np.max(np.abs(steps - dt)) > 1e-12 * max(1.0, dt):
+        raise InadmissibleConfig("record times must increase uniformly")
+    return MeasurementRecord(
+        times=times,
+        values=values,
+        dt=float(dt),
+        noise_sigma=sigmas[fields[2]],
+        scheme_tag=tags[0],
+        seed=seeds[fields[3]],
+    )
+
+
+def _record_columns(fields: list[str]):
+    """(times, values, sigma by string, seed by string, tags) of the
+    samples' flat fields, or None when a value is malformed or out of
+    range."""
+    t_col, y_col, sigma_col, seed_col, tags = (
+        fields[k::len(RECORD_HEADER)] for k in range(len(RECORD_HEADER)))
+    try:
+        times = np.fromiter(map(float, t_col), float, len(t_col))
+        values = np.fromiter(map(float, y_col), float, len(y_col))
+        sigmas = {text: float(text) for text in set(sigma_col)}
+        seeds = {text: int(text) for text in set(seed_col)}
+    except ValueError:
+        return None
+    if not (np.isfinite(times).all() and np.isfinite(values).all()
+            and all(math.isfinite(s) and s >= 0 for s in sigmas.values())):
+        return None
+    return times, values, sigmas, seeds, tags
+
+
+def _refuse_record(lines: list[str]) -> None:
+    """Raise on the first defect of a record: a line csv cannot read, the
+    header, or a bad row, whichever comes first."""
+    reader = csv.reader(lines)
     rows: list[list[str]] = []
     try:
         rows.extend(reader)
@@ -249,30 +340,7 @@ def load_record(fh) -> MeasurementRecord:
             f"record line {reader.line_num}: {err}"
         ) from None
     _check_header(rows[0] if rows else [])
-    body = list(filter(None, rows[1:]))  # blank lines carry no sample
-    columns = _record_columns(body)
-    if columns is None:
-        # raises on any nonempty body: the columns failed on some row
-        _refuse_first_bad_row(rows[1:])
-    if len(body) < 2:
-        raise InadmissibleConfig("record has fewer than two samples")
-    times, values, sigmas, seeds, tags = columns
-    if (len(set(sigmas.values())) != 1 or len(set(seeds.values())) != 1
-            or len(set(tags)) != 1):
-        raise InadmissibleConfig("record rows disagree on sigma/seed/scheme")
-    steps = np.diff(times)
-    dt = steps[0]
-    if np.any(steps <= 0) or np.max(np.abs(steps - dt)) > 1e-12 * max(1.0, dt):
-        raise InadmissibleConfig("record times must increase uniformly")
-    first = body[0]
-    return MeasurementRecord(
-        times=times,
-        values=values,
-        dt=float(dt),
-        noise_sigma=sigmas[first[2]],
-        scheme_tag=tags[0],
-        seed=seeds[first[3]],
-    )
+    _refuse_first_bad_row(rows[1:])
 
 
 def _check_header(row: list[str]) -> None:
@@ -281,25 +349,6 @@ def _check_header(row: list[str]) -> None:
         raise InadmissibleConfig(
             f"record header {header!r} does not match {RECORD_HEADER!r}"
         )
-
-
-def _record_columns(body: list[list[str]]):
-    """(times, values, sigma by string, seed by string, tags) of the
-    nonblank rows, or None when a row is malformed or out of range."""
-    if set(map(len, body)) != {len(RECORD_HEADER)}:
-        return None
-    t_col, y_col, sigma_col, seed_col, tags = zip(*body)
-    try:
-        times = np.fromiter(map(float, t_col), float, len(body))
-        values = np.fromiter(map(float, y_col), float, len(body))
-        sigmas = {text: float(text) for text in set(sigma_col)}
-        seeds = {text: int(text) for text in set(seed_col)}
-    except ValueError:
-        return None
-    if not (np.isfinite(times).all() and np.isfinite(values).all()
-            and all(math.isfinite(s) and s >= 0 for s in sigmas.values())):
-        return None
-    return times, values, sigmas, seeds, tags
 
 
 def _refuse_first_bad_row(body: list[list[str]]) -> None:

@@ -417,8 +417,8 @@ def dense_matrix(p: PauliString) -> np.ndarray:
 
 
 def dense_hamiltonian(
-    h: HamiltonianSpec, binding: dict[str, float], states=None
-) -> np.ndarray:
+    h: HamiltonianSpec, binding: dict[str, float], states=None, *, spans=None
+) -> np.ndarray | list[np.ndarray]:
     """H at a numeric binding on the span of ``states`` (oracle; <= 14 qubits).
 
     Entry [i, j] is <states[i]|H|states[j]>.  Without ``states`` this is
@@ -426,22 +426,42 @@ def dense_hamiltonian(
     term may leave it only where terms with the same X mask cancel (XX
     and YY on one bond do), and any other amplitude outside the span
     raises :class:`InadmissibleConfig`.
+
+    ``spans``, given instead of ``states``, is a sequence of disjoint state
+    arrays.  The result is then the list of H's blocks on them, formed from
+    one pass of the term actions over all their states, and H must map
+    each span into itself.  Blocks are real when every term's amplitudes
+    are, as for the exchange chains, and complex otherwise.
     """
     _check_oracle_size(h.n_qubits)
     dim = 1 << h.n_qubits
-    if states is None:
-        states = np.arange(dim)
-    states = np.asarray(states, dtype=np.int64)
+    if states is not None and spans is not None:
+        raise TypeError("give basis states or spans, not both")
+    several = spans is not None
+    if not several:
+        spans = [np.arange(dim) if states is None else states]
+    spans = [np.asarray(span, dtype=np.int64) for span in spans]
+    refusal = f"basis states must be distinct integers below {dim}"
+    if any(span.ndim != 1 for span in spans):
+        raise DimensionMismatch(refusal)
+    states = np.concatenate([np.empty(0, dtype=np.int64), *spans])
     if (
-        states.ndim != 1
-        or np.any((states < 0) | (states >= dim))
+        np.any((states < 0) | (states >= dim))
         or len(np.unique(states)) != len(states)
     ):
-        raise DimensionMismatch(
-            f"basis states must be distinct integers below {dim}"
-        )
+        raise DimensionMismatch(refusal)
+    # every block lives in one flat buffer: entry [i, j] of the block on
+    # span k sits at offsets[k] + i * size_k + j
+    sizes = np.array([len(span) for span in spans], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    span_of = np.full(dim, -1)
     index = np.full(dim, -1)
-    index[states] = np.arange(len(states))
+    for k, span in enumerate(spans):
+        span_of[span] = k
+        index[span] = np.arange(len(span))
+    source_span = span_of[states]
+    column = offsets[source_span] + index[states]
+    stride = sizes[source_span]
     # terms with one X mask send each state to the same target, so their
     # amplitudes are summed before they are placed
     amplitudes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -451,17 +471,22 @@ def dense_hamiltonian(
         if term.x_mask in amplitudes:
             value = amplitudes[term.x_mask][1] + value
         amplitudes[term.x_mask] = (targets, value)
-    block = np.zeros((len(states), len(states)), dtype=complex)
+    # the blocks are real where every amplitude is (XX and YY have real
+    # phases), which halves their memory and keeps the eigensolver real
+    flat = np.zeros(offsets[-1], dtype=np.result_type(
+        float, *(value for _targets, value in amplitudes.values())))
     for x_mask, (targets, value) in amplitudes.items():
-        rows = index[targets]
-        inside = rows >= 0
+        inside = span_of[targets] == source_span
         if np.any(value[~inside]):
             raise InadmissibleConfig(
                 f"Hamiltonian terms with X mask {x_mask:#b} map the given "
                 "basis states outside their span"
             )
-        block[rows[inside], np.flatnonzero(inside)] = value[inside]
-    return block
+        flat[column[inside] + index[targets[inside]] * stride[inside]] = (
+            value[inside])
+    blocks = [flat[start:end].reshape(size, size)
+              for start, end, size in zip(offsets, offsets[1:], sizes)]
+    return blocks if several else blocks[0]
 
 
 def dense_state(state: InitialState) -> np.ndarray:

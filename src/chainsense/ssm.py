@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -66,6 +67,17 @@ class StateSpaceModel:
     @property
     def param_ids(self) -> tuple[str, ...]:
         return self.ham.param_ids
+
+    @cached_property
+    def _entry_arrays(self):
+        """a_entries as arrays: (rows, columns, the parameters in order of
+        first use, each entry's parameter slot, signs as floats)."""
+        rows, cols, pids, signs = tuple(zip(*self.a_entries)) or ((),) * 4
+        params = tuple(dict.fromkeys(pids))
+        slot = {p: k for k, p in enumerate(params)}
+        return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                params, np.array([slot[p] for p in pids], dtype=np.intp),
+                np.array(signs, dtype=float))
 
 
 def check_binding(model: StateSpaceModel, binding: Binding) -> None:
@@ -148,15 +160,11 @@ def evaluate(model: StateSpaceModel, binding: Binding | list[Binding]):
     gives A as a stack of shape (k, dim, dim), filled by one indexed
     assignment; B and C do not depend on the binding."""
     bindings = binding if isinstance(binding, list) else [binding]
-    rows, cols, pids, signs = tuple(zip(*model.a_entries)) or ((),) * 4
-    params = tuple(dict.fromkeys(pids))
-    slot = {p: k for k, p in enumerate(params)}
+    rows, cols, params, slots, signs = model._entry_arrays
     values = np.array([[float(bound[p]) for p in params] for bound in bindings],
                       dtype=float).reshape(len(bindings), len(params))
     a = np.zeros((len(bindings), model.dim, model.dim))
-    a[:, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = (
-        np.array(signs, dtype=float)
-        * values[:, np.array([slot[p] for p in pids], dtype=np.intp)])
+    a[:, rows, cols] = signs * values[:, slots]
     b = np.array(model.b, dtype=float)
     c = np.array(model.c, dtype=float)
     return (a if isinstance(binding, list) else a[0]), b, c
@@ -174,9 +182,10 @@ def evaluate_exact(model: StateSpaceModel, binding: dict[str, Fraction]):
 
 def spectral_bound(model: StateSpaceModel, binding: Binding) -> float:
     """Upper bound on the spectral radius of A (max abs row sum)."""
-    sums = np.zeros(model.dim)
-    for e in model.a_entries:
-        sums[e.row] += abs(float(binding[e.param_id]))
+    rows, _cols, params, slots, _signs = model._entry_arrays
+    magnitudes = np.array([abs(float(binding[p])) for p in params],
+                          dtype=float)
+    sums = np.bincount(rows, weights=magnitudes[slots], minlength=model.dim)
     return float(sums.max()) if model.dim else 0.0
 
 
@@ -187,17 +196,27 @@ def impulse_response(model: StateSpaceModel, binding: Binding, times) -> np.ndar
     K = U S V^T, the odd-from-even block of exp(A t) is -V sin(S t) U^T,
     and B is even and C odd (``build`` checks both), so
     y(t) = -(V^T c_odd)^T sin(S t) (U^T b_even): one real SVD of the
-    half-size block serves every sample time.
+    half-size block serves every sample time.  K is filled from the
+    entries in even rows alone; A itself is never formed.
     """
     times = np.asarray(times, dtype=float)
     if not any(model.b) or not any(model.c):
         return np.zeros(times.shape)
-    a, b, c = evaluate(model, binding)
+    rows, cols, params, slots, signs = model._entry_arrays
     odd = np.array(model.odd)
     even = ~odd
+    place = np.empty(model.dim, dtype=np.intp)  # index within its parity
+    place[even] = np.arange(np.count_nonzero(even))
+    place[odd] = np.arange(np.count_nonzero(odd))
+    values = np.array([float(binding[p]) for p in params], dtype=float)
+    down = even[rows]
+    k = np.zeros((np.count_nonzero(even), np.count_nonzero(odd)))
+    k[place[rows[down]], place[cols[down]]] = signs[down] * values[slots[down]]
+    b = np.array(model.b, dtype=float)
+    c = np.array(model.c, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            u, s, vt = np.linalg.svd(a[even][:, odd], full_matrices=False)
+            u, s, vt = np.linalg.svd(k, full_matrices=False)
         except np.linalg.LinAlgError as err:
             raise NumericFailure(f"impulse response: {err}") from None
         y = np.sin(np.outer(times, s)) @ ((vt @ c[odd]) * (u.T @ b[even]))

@@ -95,7 +95,7 @@ def test_order_stability():
 
 def test_closure_depths_start_at_measurement():
     cfg = SensorConfig(2, 2, "ZaYb", "xa")
-    depths, _ = closure(cfg.hamiltonian(), cfg.measurement_string())
+    depths, _, _ = closure(cfg.hamiltonian(), cfg.measurement_string())
     assert depths[cfg.measurement_string().key()] == 0
 
 
@@ -147,6 +147,6 @@ def test_admissibility():
 
 def test_ladder_basis_matches_closure_set():
     cfg = SensorConfig(5, 2, "ZaYb", "xa")
-    depths, _ = closure(cfg.hamiltonian(), cfg.measurement_string())
+    depths, _, _ = closure(cfg.hamiltonian(), cfg.measurement_string())
     keys = {s.key() for _sg, s in ladder_basis(5)}
     assert keys == set(depths)

@@ -1016,11 +1016,14 @@ def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
         assert len(builds(["estimate", *flags, "--record", str(rec)])) \
             == estimate_builds
         assert len(builds(["analyze", *scheme_flags(flags)])) == 1
-    # the command's own model, then each closed-form ladder N = 2..5 once
-    for flags in (LADDER_FLAGS, CUBE_FLAGS):
-        got = builds(["oracle-check", *flags])
-        assert len(got) == 5
-        assert len(set(got[1:])) == 4
+    # the command's own model on every call; each closed-form ladder
+    # N = 2..5 once per process
+    cli._closed_form_ladders.cache_clear()
+    got = builds(["oracle-check", *LADDER_FLAGS])
+    assert len(got) == 5
+    assert len(set(got[1:])) == 4
+    for flags in (CUBE_FLAGS, LADDER_FLAGS):
+        assert len(builds(["oracle-check", *flags])) == 1
 
 
 def test_ladder_analyze_makes_one_arnoldi_pass_per_reduction(capsys, monkeypatch):
@@ -1083,6 +1086,42 @@ def test_python_m_chainsense_matches_in_process_main(tmp_path, capsys):
         env=source_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert module.read_bytes() == in_process.read_bytes()
+
+
+def test_cached_parser_forgets_a_refused_parse(tmp_path, capsys):
+    # the parser is built once per process; a parse it refused leaves
+    # nothing behind for the next call
+    assert run_cli(["analyze", "--measurement", "ZaYb", "--n-chain", "3",
+                    "--seed", "7", "--count", "abc"], capsys)[0] == 2
+    argv = ["analyze", "--measurement", "ZaYb", "--n-chain", "2"]
+    in_process = tmp_path / "in_process.json"
+    assert run_cli([*argv, "--report", str(in_process)], capsys)[0] == 0
+    fresh = tmp_path / "fresh.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "chainsense", *argv, "--report", str(fresh)],
+        env=source_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert fresh.read_bytes() == in_process.read_bytes()
+
+
+def test_cached_parser_shares_no_set_values(tmp_path, capsys):
+    # the second call binds no h3; one leaked from the first would be
+    # refused as unexpected
+    first = tmp_path / "first.csv"
+    assert run_cli(["simulate", *LADDER_FLAGS, "--record", str(first)],
+                   capsys)[0] == 0
+    flags = ["--measurement", "ZaYb", "--n-chain", "3", "--set", "ha=0.6",
+             "--set", "hb=1.3", "--set", "h1=0.8", "--set", "h2=1.1"]
+    second = tmp_path / "second.csv"
+    assert run_cli(["simulate", *flags, "--record", str(second)],
+                   capsys)[0] == 0
+    fresh = tmp_path / "fresh.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "chainsense", "simulate", *flags,
+         "--record", str(fresh)],
+        env=source_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert fresh.read_bytes() == second.read_bytes()
 
 
 def test_importing_the_entry_module_runs_nothing(capsys):

@@ -26,7 +26,7 @@ from chainsense.errors import (
     OracleSizeLimit,
     UnidentifiableScheme,
 )
-from chainsense.pauli import HamiltonianSpec
+from chainsense.pauli import HamiltonianSpec, from_letters
 from chainsense.prng import random_binding, spawn_rng
 from chainsense.symca import cube_equations, solve_identifiability
 
@@ -111,6 +111,21 @@ def test_oracle_refuses_a_hamiltonian_that_leaves_its_sectors():
         estimate.exact_quantum_expectation(
             lone, cfg.initial_state(), cfg.measurement_string(), {"hb": 1.0},
             [0.5],
+        )
+
+
+def test_oracle_refuses_a_term_that_breaks_the_flip():
+    # a Z field conserves excitations, but it anticommutes with the global
+    # flip X^(x)n that the oracle uses to mirror the sectors
+    cfg = ladder_cfg(1)
+    ham = cfg.hamiltonian()
+    z_field = ("hz", from_letters(ham.n_qubits, {0: "Z"}))
+    spec = HamiltonianSpec(ham.n_qubits, ham.sensor_qubits, ham.n_chain,
+                           (*ham.terms, z_field), (*ham.param_ids, "hz"))
+    with pytest.raises(InadmissibleConfig, match="flip"):
+        estimate.exact_quantum_expectation(
+            spec, cfg.initial_state(), cfg.measurement_string(),
+            {"ha": 1.0, "hb": 0.7, "hz": 0.3}, [0.5],
         )
 
 

@@ -230,7 +230,7 @@ def test_catalog_derivative_coefficients_are_ints(n_chain):
     # plain ints, not rationals that merely compare equal to +-1
     for (label, sensor_qubits), initials in CATALOG.items():
         cfg = SensorConfig(n_chain, sensor_qubits, label, initials[0])
-        _, derivatives = closure(cfg.hamiltonian(), cfg.measurement_string())
+        _, derivatives, _ = closure(cfg.hamiltonian(), cfg.measurement_string())
         for terms in derivatives.values():
             for _pid, coeff, _out in terms:
                 assert type(coeff) is int and coeff in (1, -1)
@@ -382,6 +382,40 @@ def test_lone_exchange_term_leaves_its_sector():
 def test_dense_hamiltonian_refuses_bad_states(states):
     with pytest.raises(DimensionMismatch):
         dense_hamiltonian(chain_hamiltonian(1), {"ha": 1.0, "hb": 1.0}, states)
+
+
+@pytest.mark.parametrize("sensor_qubits", [1, 2])
+def test_flip_mirrors_each_sector_block(sensor_qubits):
+    # F = X^(x)n maps sector k onto sector n - k in reversed order and
+    # commutes with every catalog H, so block n - k is block k reversed,
+    # bit for bit; the one-pass blocks equal the single-span calls
+    for n_chain in range(1, 11 - sensor_qubits):
+        h = chain_hamiltonian(n_chain, sensor_qubits)
+        n = h.n_qubits
+        rng = np.random.default_rng(n_chain)
+        binding = {pid: float(rng.normal()) for pid in h.param_ids}
+        sectors = excitation_sectors(n)
+        blocks = dense_hamiltonian(h, binding, spans=sectors)
+        for k, block in enumerate(blocks):
+            assert np.array_equal(sectors[n - k], (2**n - 1 - sectors[k])[::-1])
+            mirrored = np.ascontiguousarray(block[::-1, ::-1])
+            assert blocks[n - k].tobytes() == mirrored.tobytes()
+            single = dense_hamiltonian(h, binding, sectors[k])
+            assert single.tobytes() == block.tobytes()
+
+
+def test_dense_hamiltonian_spans_refuse_like_one_span():
+    h = chain_hamiltonian(1)
+    xx = next(term for pid, term in h.terms if pid == "hb")
+    lone = HamiltonianSpec(h.n_qubits, h.sensor_qubits, h.n_chain,
+                           (("hb", xx),), ("hb",))
+    sectors = excitation_sectors(3)
+    with pytest.raises(InadmissibleConfig, match="outside their span"):
+        dense_hamiltonian(lone, {"hb": 1.0}, spans=sectors)
+    binding = {"ha": 1.0, "hb": 1.0}
+    for spans in ([[1, 2], [2]], [[0], [8]], [[[1, 2]]]):
+        with pytest.raises(DimensionMismatch):
+            dense_hamiltonian(h, binding, spans=spans)
 
 
 def test_expectation_rules():

@@ -370,7 +370,7 @@ def test_impulse_svd_failure_is_numeric_failure(monkeypatch):
         ssm.impulse_response(model, {p: 1.0 for p in model.param_ids}, [0.5])
 
 
-@pytest.mark.parametrize("n_chain", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_chain", [1, 2, 3, 4, 5])
 def test_sector_oracle_matches_dense_referee(n_chain):
     times = np.linspace(0.0, 10.0, 50)
     for cfg in all_schemes(n_chain):
