@@ -337,11 +337,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         evidence["x0_norm"] = float(np.linalg.norm(b))
         evidence["max_response"] = float(np.max(np.abs(y)))
     elif capability == "ladder":
-        _, obs_rank = realization.observability_rank(model, probe)
+        # det_cm != 0 proves the probe controllable, so the Kalman
+        # reduction's observable width is the model's observability rank
+        minimal = realization.kalman_minimal(model, probe)
+        obs_rank = minimal.diagnostics["observable_rank"]
         expected_deficiency = 0 if run.n_chain % 2 == 0 else 1
         det_cm = realization.det_cm_exact(model, probe)
         det_closed = realization.det_cm_closed_form(run.n_chain, probe)
-        minimal = realization.kalman_minimal(model, probe)
         scan = sta.identifiability_scan(
             model, trials=2, seed=run.seed, n_perturb=8
         )
@@ -358,7 +360,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         evidence["minimal_order"] = minimal.order
         evidence["scan_clean"] = scan.all_clean
         evidence["scan_trials"] = len(scan.trials)
-        if obs_rank != model.dim - expected_deficiency or not scan.all_clean:
+        if (obs_rank != model.dim - expected_deficiency
+                or minimal.diagnostics["controllable_rank"] != model.dim
+                or not scan.all_clean):
             verdicts["identifiability"] = "inconclusive"
             verdicts["reason"] = "structural evidence disagreed at the probe"
     elif run.n_chain <= 2:

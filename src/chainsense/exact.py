@@ -6,12 +6,12 @@ Fraction.  ``det``, ``solve`` and ``matvec`` are on the ``analyze`` path:
 the ladder's controllability determinant is an elimination at dimension
 N + 2, and at odd N the SPT reduction takes the determinant of, and
 solves with, the Krylov rows c A^k, which form a lower Hessenberg
-matrix with a checkerboard of zeros.  ``det`` and ``solve`` share one
+matrix with a checkerboard of zeros.  Every routine here runs on one
 forward elimination that visits only nonzeros (Golub and Van Loan,
 *Matrix Computations*, section 4.3): on those rows at N = 65 it does 528
-multiplications where a dense sweep does about 96 000.  ``rank``,
-``inverse``, ``nullspace`` and ``solve_general`` go through a dense
-reduced row echelon form.
+multiplications where a dense sweep does about 96 000.  ``rank`` counts
+its pivots; ``solve``, ``inverse``, ``nullspace`` and ``solve_general``
+finish with one back substitution on its echelon rows.
 """
 
 from __future__ import annotations
@@ -25,17 +25,6 @@ Mat = list[list[Fraction]]
 
 def zeros(rows: int, cols: int) -> Mat:
     return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Mat:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def copy(m: Mat) -> Mat:
-    return [row[:] for row in m]
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -66,83 +55,83 @@ def transpose(m: Mat) -> Mat:
     return [list(col) for col in zip(*m)]
 
 
-def _eliminate(a: Mat, n: int) -> int:
-    """Reduce the leading n x n block of a to upper triangular form in place.
+def _eliminate(a: Mat, cols: int) -> tuple[list[int], int]:
+    """Reduce the leading cols columns of a to row echelon form in place.
 
-    Rows may run past column n (an augmented right-hand side); the same row
-    operations reach those columns.  The pivot is the first nonzero entry
-    at or below the diagonal, and each elimination subtracts a multiple of
-    the pivot row at its nonzero columns only: a tridiagonal or Hessenberg
-    matrix costs O(n^2) instead of O(n^3).  Entries below the diagonal are
-    left as they were and are never read.  Returns the sign of the row
-    permutation, or 0 if the block is singular.
+    Rows may run past column cols (augmented right-hand sides); the same
+    row operations reach those columns.  In each column the pivot is the
+    first nonzero entry at or below the next pivot row, and a column with
+    none is skipped.  Each elimination subtracts a multiple of the pivot
+    row at its nonzero columns only: a tridiagonal or Hessenberg matrix
+    costs O(n^2) instead of O(n^3).  Entries below a pivot are left as
+    they were and are never read.  Returns the pivot columns, pivot i in
+    row i, and the sign of the row permutation.
     """
+    pivots: list[int] = []
     sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
+    rows = len(a)
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if a[i][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
             sign = -sign
-        p = a[col][col]
-        nonzero = [(c, v) for c, v in enumerate(a[col][col + 1:], col + 1) if v]
-        for r in range(col + 1, n):
-            row = a[r]
+        p = a[r][col]
+        nonzero = [(c, v) for c, v in enumerate(a[r][col + 1:], col + 1) if v]
+        for i in range(r + 1, rows):
+            row = a[i]
             if row[col]:
                 factor = row[col] / p
                 for c, v in nonzero:
                     row[c] -= factor * v
-    return sign
+        pivots.append(col)
+    return pivots, sign
+
+
+def _back_substitute(
+    a: Mat, pivots: list[int], rhs: list[Fraction], x: list[Fraction]
+) -> list[Fraction]:
+    """Fill the pivot entries of x so that echelon row i times x is rhs[i];
+    the other entries of x are the free unknowns, taken as given."""
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        row = a[i]
+        acc = rhs[i]
+        for j in range(c + 1, len(x)):
+            if row[j] and x[j]:
+                acc -= row[j] * x[j]
+        x[c] = acc / row[c]
+    return x
 
 
 def det(m: Mat) -> Fraction:
     """Fraction-exact determinant by Gaussian elimination with pivoting."""
-    a = copy(m)
-    result = Fraction(_eliminate(a, len(a)))
-    if result:
-        for i, row in enumerate(a):
-            result *= row[i]
+    a = [row[:] for row in m]
+    pivots, sign = _eliminate(a, len(a))
+    if len(pivots) < len(a):
+        return Fraction(0)
+    result = Fraction(sign)
+    for i, row in enumerate(a):
+        result *= row[i]
     return result
 
 
-def _row_echelon(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    a = copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
-        a[r] = [v / p for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def rank(m: Mat) -> int:
-    _, pivots = _row_echelon(m)
-    return len(pivots)
+    return len(_eliminate([row[:] for row in m], len(m[0]) if m else 0)[0])
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    aug = [row[:] + ident_row for row, ident_row in zip(m, identity(n))]
-    red, pivots = _row_echelon(aug)
-    if pivots[:n] != list(range(n)):
+    a = [row + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    pivots, _ = _eliminate(a, n)
+    if len(pivots) < n:
         raise AtypicalParameters("matrix is singular at this binding")
-    return [row[n:] for row in red]
+    columns = [_back_substitute(a, pivots, [row[n + k] for row in a],
+                                [Fraction(0)] * n) for k in range(n)]
+    return transpose(columns)
 
 
 def solve(m: Mat, b: list[Fraction]) -> list[Fraction]:
@@ -150,47 +139,37 @@ def solve(m: Mat, b: list[Fraction]) -> list[Fraction]:
     elimination of [m | b], then back substitution."""
     n = len(m)
     a = [row + [bv] for row, bv in zip(m, b)]
-    if not _eliminate(a, n):
+    pivots, _ = _eliminate(a, n)
+    if len(pivots) < n:
         raise AtypicalParameters("matrix is singular at this binding")
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        acc = row[n]
-        for j in range(i + 1, n):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[i] = acc / row[i]
-    return x
+    return _back_substitute(a, pivots, [row[n] for row in a], [Fraction(0)] * n)
 
 
 def nullspace(m: Mat) -> list[list[Fraction]]:
-    """Basis of the right nullspace (one vector per free column)."""
-    red, pivots = _row_echelon(m)
+    """Basis of the right nullspace: vector f sets free unknown f to 1 and
+    the other free unknowns to 0."""
     cols = len(m[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
+    a = [row[:] for row in m]
+    pivots, _ = _eliminate(a, cols)
+    zero = [Fraction(0)] * len(pivots)
+    return [_back_substitute(a, pivots, zero,
+                             [Fraction(int(c == f)) for c in range(cols)])
+            for f in range(cols) if f not in pivots]
 
 
 def solve_general(
     m: Mat, b: list[Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Particular solution and nullspace basis of m x = b, or None if the
-    system is inconsistent.  m may be rectangular or rank deficient."""
+    """Particular solution (every free unknown 0) and nullspace basis of
+    m x = b, or None if the system is inconsistent.  m may be rectangular
+    or rank deficient."""
     cols = len(m[0]) if m else 0
-    aug = [row[:] + [bv] for row, bv in zip(m, b)]
-    red, pivots = _row_echelon(aug)
+    a = [row + [bv] for row, bv in zip(m, b)]
+    pivots, _ = _eliminate(a, cols + 1)
     if cols in pivots:
         return None
-    particular = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        particular[c] = red[r][cols]
+    particular = _back_substitute(a, pivots, [row[cols] for row in a],
+                                  [Fraction(0)] * cols)
     return particular, nullspace(m)
 
 

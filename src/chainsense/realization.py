@@ -1,9 +1,10 @@
 """Structural analysis of the linear models: Krylov ranks, PBH, minimal
 realizations, and the closed-form determinant oracles.
 
-Two arithmetic tiers.  In floating point every Krylov rank (observable,
-and the two projections of the Kalman reduction) is the step where
-``ssm.arnoldi`` stops.  Exact rationals certify every rank, PBH or
+Two arithmetic tiers.  In floating point the Krylov ranks are the two
+projections of the Kalman reduction, each the step where ``ssm.arnoldi``
+stops; where the controllable one is full, the observable one is the
+model's observability rank.  Exact rationals certify every rank, PBH or
 determinant verdict at sampled rational bindings, since genericity claims
 are best pinned down by identities rather than tolerances.
 """
@@ -20,20 +21,6 @@ from .errors import AtypicalParameters, DimensionMismatch, NumericFailure
 from .ssm import StateSpaceModel
 
 RATIONAL = dict[str, Fraction]
-
-
-# -- Krylov ranks -----------------------------------------------------------
-
-
-def observability_rank(model: StateSpaceModel, binding) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of span[C^T, A^T C^T, ...] and its rank.
-
-    The rank is where Arnoldi on (A^T, C^T) closes its Krylov space; an SVD
-    of the raw powers (A^T)^k C^T loses rank on long chains.
-    """
-    a, _, c = ssm.evaluate(model, binding)
-    q, _ = ssm.arnoldi(a.T, c, model.dim)
-    return q, q.shape[1]
 
 
 # -- exact tier -------------------------------------------------------------

@@ -76,6 +76,46 @@ def test_analyze_long_ladder_identifiable_in_magnitude(tmp_path, capsys,
     assert payload["evidence"]["scan_clean"] is True
 
 
+@pytest.mark.parametrize("n_chain", range(1, 41))
+def test_analyze_observability_rank_is_the_arnoldi_width_at_the_probe(
+        tmp_path, capsys, monkeypatch, n_chain):
+    # the rank is read off the Kalman reduction, whose first stage spans the
+    # whole space at the probe; it must be Arnoldi's width on (A^T, C^T)
+    probes = []
+    kalman_minimal = realization.kalman_minimal
+
+    def recorded(model, binding):
+        probes.append((model, binding))
+        return kalman_minimal(model, binding)
+
+    monkeypatch.setattr(realization, "kalman_minimal", recorded)
+    out_path = tmp_path / "report.json"
+    assert run_cli(["analyze", "--measurement", "ZaYb", "--n-chain",
+                    str(n_chain), "--report", str(out_path)], capsys)[0] == 0
+    (model, probe), = probes
+    a, _, c = ssm.evaluate(model, probe)
+    width = ssm.arnoldi(a.T, c, model.dim)[0].shape[1]
+    evidence = json.loads(out_path.read_text())["evidence"]
+    assert evidence["observability_rank"] == width
+
+
+@pytest.mark.parametrize("width", ["controllable_rank", "observable_rank"])
+def test_analyze_short_kalman_width_is_inconclusive(capsys, monkeypatch, width):
+    # a float width one short of its exact value must not pass unnoticed
+    kalman_minimal = realization.kalman_minimal
+
+    def short(model, binding):
+        minimal = kalman_minimal(model, binding)
+        minimal.diagnostics[width] -= 1
+        return minimal
+
+    monkeypatch.setattr(realization, "kalman_minimal", short)
+    code, out, _ = run_cli(
+        ["analyze", "--measurement", "ZaYb", "--n-chain", "4"], capsys)
+    assert code == 0
+    assert "'inconclusive'" in out
+
+
 def test_analyze_referee_disagreement_is_numeric_failure(capsys, monkeypatch):
     spt_minimal = realization.spt_minimal
 
@@ -1027,9 +1067,10 @@ def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
 
 
 def test_ladder_analyze_makes_one_arnoldi_pass_per_reduction(capsys, monkeypatch):
-    # the observability rank, the two Kalman stages and one certificate for
-    # the whole scan; at odd N one more for the scan's stacked reduction.  A
-    # 2-D call runs as a stack of one, so counting stacks counts passes
+    # the two Kalman stages (the second gives the observability rank) and
+    # one certificate for the whole scan; at odd N one more for the scan's
+    # stacked reduction.  A 2-D call runs as a stack of one, so counting
+    # stacks counts passes
     passes = []
     arnoldi = ssm.arnoldi
 
@@ -1039,7 +1080,7 @@ def test_ladder_analyze_makes_one_arnoldi_pass_per_reduction(capsys, monkeypatch
         return arnoldi(a, v, count)
 
     monkeypatch.setattr(ssm, "arnoldi", counted)
-    for n_chain, expected in ((8, 4), (9, 5)):
+    for n_chain, expected in ((8, 3), (9, 4)):
         passes.clear()
         assert run_cli(["analyze", "--measurement", "ZaYb",
                         "--n-chain", str(n_chain)], capsys)[0] == 0

@@ -9,6 +9,14 @@ from chainsense import exact
 from chainsense.errors import AtypicalParameters
 
 
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _copy(m):
+    return [row[:] for row in m]
+
+
 def _rand_mat(rng, rows, cols, lo=-5, hi=6):
     return [[Fraction(int(rng.integers(lo, hi))) for _ in range(cols)] for _ in range(rows)]
 
@@ -40,7 +48,7 @@ def test_inverse_and_solve():
         if exact.det(m) == 0:
             continue
         inv = exact.inverse(m)
-        assert exact.matmul(m, inv) == exact.identity(4)
+        assert exact.matmul(m, inv) == _identity(4)
         b = [Fraction(int(rng.integers(-4, 5))) for _ in range(4)]
         x = exact.solve(m, b)
         assert exact.matvec(m, x) == b
@@ -178,7 +186,67 @@ def test_det_and_solve_leave_their_inputs_alone():
     rng = np.random.default_rng(5)
     m = _rand_rational(rng, 6, 6)
     b = [Fraction(k, 3) for k in range(6)]
-    before = exact.copy(m), b[:]
+    before = _copy(m), b[:]
     exact.det(m)
     exact.solve(m, b)
     assert (m, b) == before
+
+
+# -- elimination on rectangular and rank-deficient matrices ---------------------
+
+
+def _deficient(rng, rows, cols, pattern):
+    """A rows x cols rational matrix of rank at most min(rows, cols) - 1
+    whose echelon form skips a column: the first ("lead"), one in the
+    middle ("middle", a combination of the columns before it), or none in
+    particular ("low rank", a product through a thinner inner dimension)."""
+    inner = max(1, min(rows, cols) - 1)
+    m = exact.matmul(_rand_rational(rng, rows, inner),
+                     _rand_rational(rng, inner, cols))
+    if pattern == "lead":
+        for row in m:
+            row[0] = Fraction(0)
+    elif pattern == "middle":
+        mid = cols // 2
+        f, g = Fraction(int(rng.integers(1, 5)), 3), Fraction(-2, 7)
+        for row in m:
+            row[mid] = f * row[0] + g * row[mid - 1]
+    return m
+
+
+DEFICIENT = ("lead", "middle", "low rank")
+SHAPES = ((3, 3), (3, 5), (5, 3), (4, 7), (7, 4), (6, 6))
+
+
+@pytest.mark.parametrize("pattern", DEFICIENT)
+def test_elimination_skips_pivotless_columns(pattern):
+    rng = np.random.default_rng([8, DEFICIENT.index(pattern)])
+    for rows, cols in SHAPES * 2:
+        m = _deficient(rng, rows, cols, pattern)
+        r = exact.rank(m)
+        assert r == np.linalg.matrix_rank(np.array(exact.to_floats(m)))
+        assert r < min(rows, cols) or pattern == "low rank" and r < rows
+        basis = exact.nullspace(m)
+        assert len(basis) == cols - r
+        for v in basis:
+            assert exact.matvec(m, v) == [Fraction(0)] * rows
+        x0 = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+              for _ in range(cols)]
+        b = exact.matvec(m, x0)
+        particular, general = exact.solve_general(m, b)
+        assert exact.matvec(m, particular) == b
+        assert general == basis
+        if pattern == "lead":
+            # the first unknown is free, so the particular solution leaves it 0
+            assert particular[0] == 0 and basis[0][0] == 1
+
+
+@pytest.mark.parametrize("pattern", DEFICIENT)
+def test_solve_general_refuses_inconsistent_rectangular_systems(pattern):
+    rng = np.random.default_rng([9, DEFICIENT.index(pattern)])
+    for rows, cols in SHAPES:
+        m = _deficient(rng, rows, cols, pattern)
+        b = exact.matvec(m, [Fraction(k + 1, 2) for k in range(cols)])
+        # a repeated row with another right-hand side cannot hold
+        assert exact.solve_general(m + [m[0][:]], b + [b[0] + 1]) is None
+        assert exact.solve_general(m + [m[0][:]], b + [b[0]]) is not None
