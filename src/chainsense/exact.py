@@ -12,6 +12,10 @@ forward elimination that visits only nonzeros (Golub and Van Loan,
 multiplications where a dense sweep does about 96 000.  ``rank`` counts
 its pivots; ``solve``, ``inverse``, ``nullspace`` and ``solve_general``
 finish with one back substitution on its echelon rows.
+
+``matmul`` and ``matvec`` also take ``symca`` polynomial entries: the
+symbolic Markov parameters and the Faddeev-LeVerrier referee form their
+products with them.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ above 14 qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -233,13 +233,15 @@ def _exchange_term(n: int, i: int, j: int) -> tuple[PauliString, PauliString]:
     )
 
 
+@cache
 def chain_hamiltonian(n_chain: int, sensor_qubits: int = 2) -> HamiltonianSpec:
     """Sensor + chain exchange Hamiltonian.
 
     Two-qubit sensor: qubit 0 is the outer sensor qubit (coupling ``ha``,
     known), qubit 1 the inner one (coupling ``hb`` to chain site 1), then
     chain couplings ``h1``..``h{n_chain-1}``.  Single-qubit sensor drops
-    qubit 0 and ``ha``.
+    qubit 0 and ``ha``.  The spec is frozen, so each shape is built once
+    and shared by every caller.
     """
     if n_chain < 1:
         raise InadmissibleConfig("chain needs at least one spin")
@@ -417,29 +419,22 @@ def dense_matrix(p: PauliString) -> np.ndarray:
 
 
 def dense_hamiltonian(
-    h: HamiltonianSpec, binding: dict[str, float], states=None, *, spans=None
-) -> np.ndarray | list[np.ndarray]:
-    """H at a numeric binding on the span of ``states`` (oracle; <= 14 qubits).
+    h: HamiltonianSpec, binding: dict[str, float], spans
+) -> list[np.ndarray]:
+    """H's blocks at a numeric binding on disjoint spans of basis states
+    (oracle; <= 14 qubits).
 
-    Entry [i, j] is <states[i]|H|states[j]>.  Without ``states`` this is
-    the whole 2**n x 2**n matrix.  H must map the span into itself: a
-    term may leave it only where terms with the same X mask cancel (XX
-    and YY on one bond do), and any other amplitude outside the span
-    raises :class:`InadmissibleConfig`.
-
-    ``spans``, given instead of ``states``, is a sequence of disjoint state
-    arrays.  The result is then the list of H's blocks on them, formed from
-    one pass of the term actions over all their states, and H must map
-    each span into itself.  Blocks are real when every term's amplitudes
-    are, as for the exchange chains, and complex otherwise.
+    ``spans`` is a sequence of state arrays, and entry [i, j] of block k
+    is <spans[k][i]|H|spans[k][j]>.  The blocks are formed from one pass
+    of the term actions over all their states.  H must map each span into
+    itself: a term may leave it only where terms with the same X mask
+    cancel (XX and YY on one bond do), and any other amplitude outside
+    the span raises :class:`InadmissibleConfig`.  Blocks are real when
+    every term's amplitudes are, as for the exchange chains, and complex
+    otherwise.
     """
     _check_oracle_size(h.n_qubits)
     dim = 1 << h.n_qubits
-    if states is not None and spans is not None:
-        raise TypeError("give basis states or spans, not both")
-    several = spans is not None
-    if not several:
-        spans = [np.arange(dim) if states is None else states]
     spans = [np.asarray(span, dtype=np.int64) for span in spans]
     refusal = f"basis states must be distinct integers below {dim}"
     if any(span.ndim != 1 for span in spans):
@@ -484,9 +479,8 @@ def dense_hamiltonian(
             )
         flat[column[inside] + index[targets[inside]] * stride[inside]] = (
             value[inside])
-    blocks = [flat[start:end].reshape(size, size)
-              for start, end, size in zip(offsets, offsets[1:], sizes)]
-    return blocks if several else blocks[0]
+    return [flat[start:end].reshape(size, size)
+            for start, end, size in zip(offsets, offsets[1:], sizes)]
 
 
 def dense_state(state: InitialState) -> np.ndarray:

@@ -226,9 +226,10 @@ def impulse_response(model: StateSpaceModel, binding: Binding, times) -> np.ndar
 
 
 def krylov(a, v, count: int) -> list:
-    """[v, Av, ..., A^{count-1} v] for a float ndarray A or a Fraction matrix.
+    """[v, Av, ..., A^{count-1} v] for a float ndarray A or an exact matrix
+    (lists of Fractions or of ``symca`` polynomials).
 
-    A Fraction matrix is read once into each row's nonzero (column, value)
+    An exact matrix is read once into each row's nonzero (column, value)
     pairs, and each step multiplies only those by the nonzero entries of
     the previous vector: a ladder step costs O(nnz) rather than O(dim^2).
     """
@@ -308,7 +309,8 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
 
 def markov(a, b, c, count: int):
     """Markov parameters [CB, CAB, ..., CA^{count-1}B]: a float array for an
-    ndarray A, a list of Fractions for a Fraction matrix."""
+    ndarray A, a list of exact entries for an exact matrix.  A parameter
+    whose sum has no nonzero term is Fraction(0), also over polynomials."""
     vectors = krylov(a, b, count)
     if isinstance(a, np.ndarray):
         return np.array([float(c @ v) for v in vectors])

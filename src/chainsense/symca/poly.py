@@ -69,7 +69,12 @@ class PolyRing:
 
 
 class MPoly:
-    """Immutable sparse polynomial: exponent tuple -> nonzero coefficient."""
+    """Immutable sparse polynomial: exponent tuple -> nonzero coefficient.
+
+    A number added to it or multiplied with it, on either side, stands for
+    the constant polynomial, so the exact kernels of ``exact`` and ``ssm``
+    (whose sums start at ``Fraction(0)``) take polynomial entries too.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -143,13 +148,17 @@ class MPoly:
         if self.ring is not other.ring and self.ring != other.ring:
             raise DimensionMismatch("polynomials live in different rings")
 
-    def __add__(self, other: "MPoly") -> "MPoly":
+    def __add__(self, other) -> "MPoly":
+        if not isinstance(other, MPoly):
+            other = MPoly.const(self.ring, other)
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
         return MPoly(self.ring, out)
+
+    __radd__ = __add__
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -169,6 +178,8 @@ class MPoly:
                 s = out.get(e)
                 out[e] = c if s is None else s + c
         return MPoly(self.ring, out)
+
+    __rmul__ = __mul__
 
     def scale(self, value) -> "MPoly":
         c0 = self.ring.coerce_coeff(value)

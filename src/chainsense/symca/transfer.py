@@ -17,52 +17,33 @@ from ..ssm import StateSpaceModel
 from .poly import MPoly, PolyRing
 
 TRANSFER_DIM_CAP = 24
-MARKOV_TERM_BUDGET = 200_000
 
 
 def model_ring(model: StateSpaceModel) -> PolyRing:
     return PolyRing(variables=tuple(model.param_ids), order="grevlex")
 
 
-def _symbolic_vectors(model: StateSpaceModel, ring: PolyRing):
-    """(sparse A, B column, C row) with MPoly entries."""
+def _symbolic_triple(model: StateSpaceModel, ring: PolyRing):
+    """(A, B, C) with A's entries the signed coupling variables and B, C
+    Fractions, for the exact kernels of ``exact`` and ``ssm``."""
     n = model.dim
-    a_sparse: list[tuple[int, int, MPoly]] = []
-    for entry in model.a_entries:
-        var = MPoly.var(ring, entry.param_id)
-        a_sparse.append((entry.row, entry.col, var.scale(entry.sign)))
-    b = [MPoly.const(ring, v) for v in model.b]
-    c = [MPoly.const(ring, v) for v in model.c]
-    if len(b) != n or len(c) != n:
+    # exact.matvec zips, so a short B or C would be cut without an error
+    if len(model.b) != n or len(model.c) != n:
         raise DimensionMismatch("B/C length does not match the state dimension")
-    return a_sparse, b, c
-
-
-def _apply_sparse(a_sparse, vec, ring):
-    n = len(vec)
-    out = [MPoly.zero(ring) for _ in range(n)]
-    for i, j, coeff in a_sparse:
-        if vec[j]:
-            out[i] = out[i] + coeff * vec[j]
-    return out
+    var = {pid: MPoly.var(ring, pid) for pid in ring.variables}
+    a = exact.zeros(n, n)
+    for e in model.a_entries:
+        a[e.row][e.col] = var[e.param_id].scale(e.sign)
+    return a, [Fraction(v) for v in model.b], [Fraction(v) for v in model.c]
 
 
 def symbolic_markov(model: StateSpaceModel, count: int) -> list[MPoly]:
-    """First ``count`` Markov parameters C A^k B as polynomials in the couplings."""
+    """First ``count`` Markov parameters C A^k B as polynomials in the
+    couplings: ``ssm.markov`` over the polynomial triple."""
     ring = model_ring(model)
-    a_sparse, b, c = _symbolic_vectors(model, ring)
-    out = []
-    vec = b
-    for _ in range(count):
-        m = MPoly.zero(ring)
-        for ci, vi in zip(c, vec):
-            if ci and vi:
-                m = m + ci * vi
-        out.append(m)
-        vec = _apply_sparse(a_sparse, vec, ring)
-        if sum(len(v) for v in vec) > MARKOV_TERM_BUDGET:
-            raise BudgetExceeded("symbolic Markov term budget exceeded")
-    return out
+    zero = MPoly.zero(ring)
+    # a Markov parameter with no nonzero term comes back as Fraction(0)
+    return [zero + m for m in ssm.markov(*_symbolic_triple(model, ring), count)]
 
 
 @dataclass
@@ -88,66 +69,41 @@ class RationalTransfer:
         return num, den
 
 
-def symbolic_transfer(
-    model: StateSpaceModel, dim_cap: int = TRANSFER_DIM_CAP
-) -> RationalTransfer:
+def symbolic_transfer(model: StateSpaceModel) -> RationalTransfer:
     """Exact transfer function via the Faddeev-LeVerrier recursion."""
     n = model.dim
-    if n > dim_cap:
+    if n > TRANSFER_DIM_CAP:
         raise BudgetExceeded(
-            f"state dimension {n} exceeds the symbolic transfer cap {dim_cap}"
+            f"state dimension {n} exceeds the symbolic transfer cap "
+            f"{TRANSFER_DIM_CAP}"
         )
     ring = model_ring(model)
-    a_sparse, b, c = _symbolic_vectors(model, ring)
+    a, b, c = _symbolic_triple(model, ring)
     zero = MPoly.zero(ring)
-    one = MPoly.const(ring, Fraction(1))
+
+    def bilinear(m):
+        return zero + exact.matvec([c], exact.matvec(m, b))[0]
+
     # N_0 = I; den and num are accumulated as the recursion walks down.
-    n_mat = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    den = [one]
-    num = []
-    num.append(_bilinear(c, n_mat, b, ring))
+    n_mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    den = [MPoly.const(ring, 1)]
+    num = [bilinear(n_mat)]
     for k in range(1, n + 1):
-        an = _sparse_times_dense(a_sparse, n_mat, n, ring)
-        trace = zero
-        for i in range(n):
-            trace = trace + an[i][i]
-        ck = trace.scale(Fraction(-1, k))
+        an = exact.matmul(a, n_mat)
+        ck = sum((an[i][i] for i in range(n)), zero).scale(Fraction(-1, k))
         den.append(ck)
         for i in range(n):
             an[i][i] = an[i][i] + ck
         n_mat = an
         if k < n:
-            num.append(_bilinear(c, n_mat, b, ring))
+            num.append(bilinear(n_mat))
     # closing identity: A N_{n-1} + c_n I must vanish (n_mat is that sum now)
-    for i in range(n):
-        for j in range(n):
-            if n_mat[i][j]:
-                raise NumericFailure(
-                    "Faddeev-LeVerrier closing identity failed; "
-                    "the symbolic state matrix is inconsistent"
-                )
+    if any(x for row in n_mat for x in row):
+        raise NumericFailure(
+            "Faddeev-LeVerrier closing identity failed; "
+            "the symbolic state matrix is inconsistent"
+        )
     return RationalTransfer(num_coeffs=num, den_coeffs=den, ring=ring)
-
-
-def _sparse_times_dense(a_sparse, m, n, ring):
-    out = [[MPoly.zero(ring) for _ in range(n)] for _ in range(n)]
-    for i, j, coeff in a_sparse:
-        row = m[j]
-        for col in range(n):
-            if row[col]:
-                out[i][col] = out[i][col] + coeff * row[col]
-    return out
-
-
-def _bilinear(c, m, b, ring):
-    total = MPoly.zero(ring)
-    for i, ci in enumerate(c):
-        if not ci:
-            continue
-        for j, bj in enumerate(b):
-            if bj and m[i][j]:
-                total = total + ci * m[i][j] * bj
-    return total
 
 
 def markov_from_transfer(rt: RationalTransfer, count: int) -> list[MPoly]:

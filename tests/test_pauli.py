@@ -311,7 +311,7 @@ def test_derivative_matches_dense_oracle():
     h = chain_hamiltonian(2)
     rng = np.random.default_rng(23)
     binding = {pid: float(rng.uniform(0.3, 1.7)) for pid in h.param_ids}
-    hd = dense_hamiltonian(h, binding)
+    hd = dense_hamiltonian(h, binding, [np.arange(2**h.n_qubits)])[0]
     for _ in range(25):
         p = random_string(rng, h.n_qubits).positive()
         target = 1j * (hd @ dense_matrix(p) - dense_matrix(p) @ hd)
@@ -353,13 +353,14 @@ def test_dense_hamiltonian_blocks_match_kronecker_sum(n_chain, sensor_qubits):
     assert EXCHANGE_PREFACTOR == 0.5
     for pid, term in h.terms:
         kron += binding[pid] * 0.5 * dense_matrix(term)
-    full = dense_hamiltonian(h, binding)
+    full = dense_hamiltonian(h, binding, [np.arange(2**h.n_qubits)])[0]
     np.testing.assert_array_equal(full, kron)
     sectors = excitation_sectors(h.n_qubits)
     assert sorted(np.concatenate(sectors)) == list(range(2**h.n_qubits))
     for sector in sectors:
         np.testing.assert_array_equal(
-            dense_hamiltonian(h, binding, sector), kron[np.ix_(sector, sector)]
+            dense_hamiltonian(h, binding, [sector])[0],
+            kron[np.ix_(sector, sector)],
         )
     # H has no entries between sectors
     outside = kron.copy()
@@ -373,15 +374,17 @@ def test_lone_exchange_term_leaves_its_sector():
     xx = next(term for pid, term in h.terms if pid == "hb")
     lone = HamiltonianSpec(h.n_qubits, h.sensor_qubits, h.n_chain,
                            (("hb", xx),), ("hb",))
-    dense_hamiltonian(lone, {"hb": 1.0})  # the whole space is closed
+    # the whole space is closed
+    dense_hamiltonian(lone, {"hb": 1.0}, [np.arange(2**lone.n_qubits)])
     with pytest.raises(InadmissibleConfig, match="outside their span"):
-        dense_hamiltonian(lone, {"hb": 1.0}, excitation_sectors(3)[1])
+        dense_hamiltonian(lone, {"hb": 1.0}, [excitation_sectors(3)[1]])
 
 
 @pytest.mark.parametrize("states", [[0, 0], [8], [-1], [[1, 2]]])
 def test_dense_hamiltonian_refuses_bad_states(states):
     with pytest.raises(DimensionMismatch):
-        dense_hamiltonian(chain_hamiltonian(1), {"ha": 1.0, "hb": 1.0}, states)
+        dense_hamiltonian(chain_hamiltonian(1), {"ha": 1.0, "hb": 1.0},
+                          [states])
 
 
 @pytest.mark.parametrize("sensor_qubits", [1, 2])
@@ -400,7 +403,7 @@ def test_flip_mirrors_each_sector_block(sensor_qubits):
             assert np.array_equal(sectors[n - k], (2**n - 1 - sectors[k])[::-1])
             mirrored = np.ascontiguousarray(block[::-1, ::-1])
             assert blocks[n - k].tobytes() == mirrored.tobytes()
-            single = dense_hamiltonian(h, binding, sectors[k])
+            single = dense_hamiltonian(h, binding, [sectors[k]])[0]
             assert single.tobytes() == block.tobytes()
 
 
@@ -462,6 +465,7 @@ def test_oracle_size_cap():
         dense_matrix(PauliString(15, 0, 0))
     big = chain_hamiltonian(14)  # 16 qubits
     with pytest.raises(OracleSizeLimit):
-        dense_hamiltonian(big, {pid: 1.0 for pid in big.param_ids})
+        dense_hamiltonian(big, {pid: 1.0 for pid in big.param_ids},
+                          [np.arange(2**big.n_qubits)])
     with pytest.raises(OracleSizeLimit):
         dense_state(initial_state("xb", 15))

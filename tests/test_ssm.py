@@ -27,7 +27,7 @@ from chainsense.prng import random_binding, rational_binding, spawn_rng
 def quantum_impulse(cfg: SensorConfig, binding: dict[str, float], times) -> np.ndarray:
     """Tr(e^{iHt} M e^{-iHt} rho0), one eigendecomposition for all times."""
     ham = cfg.hamiltonian()
-    h = dense_hamiltonian(ham, binding)
+    h = dense_hamiltonian(ham, binding, [np.arange(2**ham.n_qubits)])[0]
     m = dense_matrix(cfg.measurement_string())
     rho = dense_state(cfg.initial_state())
     w, v = np.linalg.eigh(h)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsense import ssm
-from chainsense.accessible import SensorConfig
+from chainsense.accessible import CATALOG, SensorConfig
 from chainsense.errors import (
     BudgetExceeded,
     InadmissibleConfig,
@@ -32,6 +32,7 @@ from chainsense.symca import (
     cube_equations,
     markov_from_transfer,
     minimal_denominator_exact,
+    model_ring,
     parse,
     rational_roots,
     render,
@@ -130,6 +131,12 @@ def test_poly_ring_axioms(data):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert a + (b + c) == (a + b) + c
+    # a number stands for the constant polynomial on either side
+    num, den = data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9))
+    for k in (num, Fraction(num, den)):
+        assert k + a == a + k
+        assert k * a == a * k == a.scale(k)
+    assert Fraction(0) + a == a
     point = {"x": Fraction(data.draw(st.integers(-5, 5))),
              "y": Fraction(data.draw(st.integers(-5, 5)))}
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
@@ -348,13 +355,16 @@ def test_dimension_one_transfer_is_pure_integrator():
 
 def test_transfer_dimension_cap():
     with pytest.raises(BudgetExceeded):
-        symbolic_transfer(cube(2), dim_cap=10)
+        symbolic_transfer(cube(3))  # dim 50, refused before any work
 
 
-@pytest.mark.parametrize("model_fn,n", [(ladder, 2), (ladder, 3), (cube, 1)])
-def test_markov_routes_agree(model_fn, n):
+@pytest.mark.parametrize("model_fn,n",
+                         [(ladder, 2), (ladder, 3), (cube, 1), (cube, 2)])
+def test_markov_routes_agree(model_fn, n, request):
     model = model_fn(n)
-    rt = symbolic_transfer(model)
+    # cube N = 2 reuses the module's transfer instead of a second recursion
+    rt = (request.getfixturevalue("cube2_transfer") if (model_fn, n) == (cube, 2)
+          else symbolic_transfer(model))
     direct = symbolic_markov(model, 8)
     from_tf = markov_from_transfer(rt, 8)
     assert direct == from_tf
@@ -367,6 +377,21 @@ def test_cube_markov_pinned_small_n():
         assert render(mk[1]) == "-ha"
         assert render(mk[2]) == "0"
         assert render(mk[3]) == "ha^3 + 4*ha*hb^2"
+
+
+def test_markov_zeros_are_ring_zeros():
+    # a Markov parameter with no term is the ring's zero polynomial, not a
+    # bare Fraction: on every orthogonal scheme and at the capable schemes'
+    # even indices
+    for (label, qubits), initials in CATALOG.items():
+        for n, initial in itertools.product((1, 2, 3), initials):
+            model = ssm.build(SensorConfig(n, qubits, label, initial))
+            mk = symbolic_markov(model, 6)
+            capable = model.config.capability != "orthogonal"
+            zeros = mk[::2] if capable else mk
+            assert all(isinstance(m, MPoly) for m in mk)
+            assert [render(m) for m in zeros] == ["0"] * len(zeros)
+            assert all(m.ring == model_ring(model) for m in mk)
 
 
 def test_evaluation_homomorphism_markov():
