@@ -2,9 +2,9 @@
 
 A record is the sampled impulse response of the linear model (each sample
 an ensemble expectation; shot noise enters as additive Gaussian terms).
-ERA realizes a minimal discrete model from the Hankel of those samples,
-then the continuous generator comes back through the principal matrix
-logarithm, which the sampling-interval guard keeps branch-safe.
+ERA realizes a minimal discrete model from the Hankel of those samples and
+returns its modal form: poles from the principal logarithms of its
+eigenvalues, which the sampling-interval guard keeps branch-safe, and residues.
 
 Recovery never uses the realized basis directly: everything is read off
 realization-invariant data (Markov parameters), so it survives the
@@ -395,15 +395,16 @@ def record_from_text(text: str) -> MeasurementRecord:
 
 @dataclass
 class ERARealization:
-    """Balanced discrete realization plus its continuous-time generator."""
+    """Balanced discrete realization plus its continuous modal form: the
+    realized samples are y(k dt) = Re sum_j residues_j e^{poles_j k dt}."""
 
     a_hat: np.ndarray
     b_hat: np.ndarray
     c_hat: np.ndarray
     order: int
     singular_values: np.ndarray
-    a_cont: np.ndarray
-    dt: float
+    poles: np.ndarray
+    residues: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     #: era raises rather than return an unusable realization; the
     #: benchmark's trace (``perfbench/spans.py``) counts this
@@ -419,10 +420,12 @@ def era(
 
     The samples of a continuous impulse response are the Markov sequence
     of the discrete pair (e^{A dt}, B, C), so the realized a_hat estimates
-    e^{A dt} and the principal logarithm recovers A.  A Hankel spectrum
-    with no gap that clears the threshold leaves the order ambiguous, and
-    a selected order above ``max_order`` (the model dimension) cannot come
-    from the model: both are refused before any realization is formed.
+    e^{A dt}.  With a_hat V = V diag(lambda), the poles of A are the
+    principal logarithms s_j = log(lambda_j)/dt, with residues
+    rho_j = (c_hat V)_j (V^-1 b_hat)_j.  A Hankel spectrum with no gap that
+    clears the threshold leaves the order ambiguous, and a selected order
+    above ``max_order`` (the model dimension) cannot come from the model:
+    both are refused before any realization is formed.
 
     The readout is scalar, so the square Hankel H0 of the first samples
     is symmetric and its symmetric eigendecomposition Q diag(lambda) Q^T
@@ -489,51 +492,41 @@ def era(
     b_hat = root * vn[0, :]
     c_hat = un[0, :] * root
     # a_hat is similar to the orthogonal e^{A dt}, so its eigenbasis is well
-    # conditioned and V diag(log lambda) V^-1 is its principal logarithm
+    # conditioned, and the residues need V^-1
     lam, v = np.linalg.eig(a_hat)
     eigvec_cond = float(np.linalg.cond(v))
     diagnostics["eigvec_cond"] = eigvec_cond
     if not eigvec_cond * eps <= FIT_RELATIVE:
         raise NumericFailure(
-            f"matrix logarithm failed: eigenvector condition "
+            f"modal form failed: eigenvector condition "
             f"{eigvec_cond:.3e}; the record's values are out of working range"
         )
-    log_a = np.linalg.solve(v.T, (v * np.log(lam.astype(complex))).T).T
-    if np.max(np.abs(np.imag(log_a))) > 1e-8 * max(1.0, np.max(np.abs(log_a))):
-        raise NumericFailure(
-            "matrix logarithm came back complex; sampling likely crossed "
-            "the principal branch"
-        )
+    logs = np.log(lam.astype(complex))
+    residues = (c_hat @ v) * np.linalg.solve(v, b_hat)
     diagnostics["fit_residual"] = _check_fit(
-        values, a_hat, b_hat, c_hat, record.noise_sigma
+        values, logs, residues, record.noise_sigma
     )
-    a_cont = np.real(log_a) / record.dt
     return ERARealization(
         a_hat=a_hat, b_hat=b_hat, c_hat=c_hat, order=order,
-        singular_values=sing, a_cont=a_cont, dt=record.dt,
+        singular_values=sing, poles=logs / record.dt, residues=residues,
         diagnostics=diagnostics,
     )
 
 
-def _check_fit(values, a_hat, b_hat, c_hat, noise_sigma: float) -> float:
-    """How far the realized Markov sequence misses the samples.
+def _check_fit(values, logs, residues, noise_sigma: float) -> float:
+    """How far the realized sequence misses the samples.
 
     A gap in the Hankel spectrum does not by itself make the realization
     fit: one wild sample can open a gap at a wrong order.  Noiseless
     records must be reproduced to FIT_RELATIVE of their largest sample,
     noisy ones to an RMS residual of FIT_NOISE_RMS sigma.
 
-    Sample jm + i of the sequence is c A^{jm} . A^i b, so two Krylov runs
-    of m ~ sqrt(count) steps replace count sequential ones.
+    Sample k of the realized sequence is Re sum_j rho_j e^{k log lambda_j}.
     """
     count = len(values)
-    m = math.isqrt(count - 1) + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        right = np.column_stack(ssm.krylov(a_hat, b_hat, m))
-        left = np.array(
-            ssm.krylov(np.linalg.matrix_power(a_hat, m).T, c_hat, m)
-        )
-        residual = (left @ right).ravel()[:count] - values
+        fitted = np.exp(np.outer(np.arange(count), logs)) @ residues
+        residual = fitted.real - values
         if noise_sigma == 0:
             miss = float(np.max(np.abs(residual)) / np.max(np.abs(values)))
             limit = FIT_RELATIVE
@@ -600,12 +593,11 @@ def moment_chain_magnitudes(markov: np.ndarray, size: int) -> np.ndarray:
     signed_first = -first
     moments = np.zeros(2 * size - 1)
     moments[0] = 1.0
-    for j in range(1, size):
-        mu = signed_first * markov[2 * j - 1]
-        moments[2 * j] = (-1.0) ** j * mu
-    hank = np.empty((size, size))
-    for i in range(size):
-        hank[i] = moments[i : i + size]
+    # a record far out of range overflows; recover_parameters refuses it
+    with np.errstate(over="ignore"):
+        for j in range(1, size):
+            moments[2 * j] = (-1.0) ** j * (signed_first * markov[2 * j - 1])
+    hank = np.lib.stride_tricks.sliding_window_view(moments, size)
     try:
         chol = np.linalg.cholesky(hank)
     except np.linalg.LinAlgError:
@@ -694,53 +686,58 @@ def recover_parameters(
         expected, max_order = 2 * n + 2, model.dim
     real = era(record, expected_order=expected, max_order=max_order)
     markov = _realized_markov(real, 2 * n + 2)
+    diagnostics = {"signed_first_coupling": float(-markov[1])}
     if capability == "ladder":
         betas = moment_chain_magnitudes(markov, n + 2)
         names = config.hamiltonian().param_ids
-        return RecoveryResult(
-            magnitudes={name: float(b) for name, b in zip(names, betas)},
-            method="moment-chain",
-            realization=real,
-            diagnostics={
-                "signed_first_coupling": float(-markov[1]),
-                "expected_order": expected,
-            },
+        magnitudes = {name: float(b) for name, b in zip(names, betas)}
+        method = "moment-chain"
+    else:
+        solved, magnitudes = cube_elimination(
+            model, [Fraction(float(v)) for v in markov]
         )
-    solved, magnitudes = cube_elimination(
-        model, [Fraction(float(v)) for v in markov]
-    )
-    if magnitudes is None:
+        if magnitudes is None:
+            raise NumericFailure(
+                f"elimination verdict {solved.verdict!r} on the Markov "
+                f"system; detail: {solved.detail or solved.count}"
+            )
+        method = "markov-elimination"
+        if record.noise_sigma == 0 and n == 2 and real.order == 12:
+            diagnostics["denominator_route"] = _cube_denominator_route(
+                real, markov, magnitudes
+            )
+    if not all(map(math.isfinite, magnitudes.values())):
         raise NumericFailure(
-            f"elimination verdict {solved.verdict!r} on the Markov system; "
-            f"detail: {solved.detail or solved.count}"
+            "recovered magnitudes are not finite; the record's values are "
+            "out of working range"
         )
-    diagnostics = {
-        "markov_indices": list(range(1, 2 * n + 2, 2)),
-        "signed_first_coupling": float(-markov[1]),
-        "theta": {k: float(v) for k, v in solved.solutions[0].items()},
-    }
-    result = RecoveryResult(
-        magnitudes=magnitudes,
-        method="markov-elimination",
-        realization=real,
-        diagnostics=diagnostics,
-    )
-    if record.noise_sigma == 0 and n == 2 and real.order == 12:
-        diagnostics["denominator_route"] = _cube_denominator_route(
-            real, markov, magnitudes
-        )
-    return result
+    return RecoveryResult(magnitudes, method, real, diagnostics)
 
 
-def _realized_markov(real: ERARealization, count: int) -> list[float]:
+def _realized_markov(real: ERARealization, count: int) -> np.ndarray:
+    """Markov parameters m_k = Re sum_j rho_j s_j^k, k < count.
+
+    A real A has conjugate poles and residues, so each sum is real to
+    rounding.  A realized eigenvalue on the negative real axis has no
+    partner (its logarithm is log|lambda| + i pi), so the sums come back
+    complex: only these continuous sums see a crossed principal branch.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        markov = ssm.markov(real.a_cont, real.b_hat, real.c_hat, count)
-    if not all(map(math.isfinite, markov)):
+        terms = real.residues[:, None] * np.vander(
+            real.poles, count, increasing=True)
+        markov = terms.sum(axis=0)
+        scale = np.abs(terms).sum(axis=0)
+    if not np.isfinite(markov).all():
         raise NumericFailure(
             "realized Markov parameters are not finite; the record's values "
             "are out of working range"
         )
-    return markov
+    if np.any(np.abs(markov.imag) > 1e-8 * scale):
+        raise NumericFailure(
+            "realized Markov parameters came back complex; sampling likely "
+            "crossed the principal branch"
+        )
+    return markov.real
 
 
 def _cube_theta(v1: Fraction, v2: Fraction, v3: Fraction):
@@ -764,7 +761,7 @@ def _cube_denominator_route(real, markov, magnitudes) -> dict:
     v3 plus the first and third Markov parameters pin the same three
     parameters in closed form.
     """
-    char = np.poly(real.a_cont)
+    char = np.poly(real.poles).real
     v1 = Fraction(float(-markov[1]))
     v3 = Fraction(float(char[2]))
     v2 = -(Fraction(float(markov[3])) + v3 * Fraction(float(markov[1])))

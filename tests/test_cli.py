@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -564,17 +565,29 @@ CUBE1_FLAGS = ["--measurement", "YaZb", "--n-chain", "1",
 
 #: y_k = (k/40)^3 has a triple pole at 1, so the realized e^{A dt} is
 #: defective: its eigenvector condition (about 1e10) is far past what the
-#: logarithm accepts, whatever the last bits of the samples are
+#: modal form accepts, whatever the last bits of the samples are
 CUBIC_SAMPLES = tuple(repr((k / 40) ** 3) for k in range(40))
+
+#: y_k = (-0.9)^k realizes one eigenvalue on the negative real axis, whose
+#: logarithm has no conjugate partner: sampling crossed the principal branch
+ALTERNATING_SAMPLES = tuple(repr((-0.9) ** k) for k in range(40))
+
+#: realized at order 2 with finite Markov parameters, but the moment chain
+#: overflows: the report used to carry "ha": Infinity and NaNs
+HUGE_SAMPLES = tuple(repr(1e300 * math.sin(0.3 * k)) for k in range(40))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags,samples,row,value,reason", [
-    (CUBE_FLAGS, CUBIC_SAMPLES, None, None, "matrix logarithm failed"),
+    (CUBE_FLAGS, CUBIC_SAMPLES, None, None, "modal form failed"),
     # row 3: row 4 realizes order 5 > dim 4, which is refused first
     (LADDER2_FLAGS, None, 3, "1e100", "singular"),
     (LADDER2_FLAGS, None, 2, "1e308", "singular"),  # near the float limit
-], ids=["logm-error", "singular", "singular-stall"])
+    (LADDER2_FLAGS, ALTERNATING_SAMPLES, None, None, "principal branch"),
+    (CUBE1_FLAGS, ALTERNATING_SAMPLES, None, None, "principal branch"),
+    (LADDER2_FLAGS, HUGE_SAMPLES, None, None, "magnitudes are not finite"),
+], ids=["logm-error", "singular", "singular-stall", "branch-ladder",
+        "branch-cube", "overflow"])
 def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
                                                     samples, row, value,
                                                     reason):
@@ -591,6 +604,26 @@ def test_estimate_extreme_sample_is_numeric_failure(tmp_path, capsys, flags,
     assert code == 4
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert reason in err
+
+
+def test_estimate_refuses_non_finite_magnitudes(tmp_path, capsys):
+    flags = ["--measurement", "ZaYb", "--n-chain", "4"]
+    rec_path, header, body = _simulated_rows(
+        tmp_path, capsys, [*flags, "--set", "ha=1.0", "--set", "hb=0.8",
+                           "--set", "h1=0.6", "--set", "h2=1.2",
+                           "--set", "h3=0.9"], count=200)
+    for row in body:
+        row[1] = repr(float(row[1]) * 1e200)
+    rec_path.write_text("\n".join([header, *map(",".join, body)]) + "\n")
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["estimate", *flags, "--record",
+                                  str(rec_path), "--report", str(report)],
+                                 capsys)
+    assert code == 4 and out == "" and not report.exists()
+    assert err == ("numeric failure: recovered magnitudes are not finite; "
+                   "the record's values are out of working range\n")
 
 
 @pytest.mark.parametrize("flags,value,dim", [

@@ -508,7 +508,7 @@ def test_era_continuous_generator_matches_spectrum():
     binding = {"ha": 1.1, "hb": -0.7, "h1": 1.3}
     real = estimate.era(make_record(cfg, binding, 60))
     a, _, _ = ssm.evaluate(ssm.build(cfg), binding)
-    got = np.linalg.eigvals(real.a_cont)
+    got = real.poles
     want = np.linalg.eigvals(a)
     # the spectrum is purely imaginary, so compare along that axis
     assert np.max(np.abs(got.real)) < 1e-8
@@ -521,10 +521,13 @@ def test_era_continuous_generator_matches_spectrum():
     *[pytest.param(cube_cfg(n), 1e-3, id=f"cube-N{n}") for n in (1, 2)],
 ])
 def test_era_logarithm_matches_scipy_logm(cfg, sigma):
-    # scipy's inverse scaling and squaring referees the eigenvalue route;
-    # a noisy record that ERA does not realize (no gap, or a realization
-    # that misses the record) has no a_hat to compare
+    # scipy's inverse scaling and squaring referees the modal form: the
+    # poles are the eigenvalues of logm(a_hat)/dt, and the Markov parameters
+    # are c_hat (logm(a_hat)/dt)^k b_hat, each to rounding of the modal
+    # terms; a noisy record that ERA does not realize (no gap, or a
+    # realization that misses the record) has no a_hat to compare
     model = ssm.build(cfg)
+    count = 2 * cfg.n_chain + 2
     compared = 0
     for seed in range(5):
         binding = random_binding(model.param_ids, spawn_rng(seed, "era-logm"))
@@ -536,9 +539,19 @@ def test_era_logarithm_matches_scipy_logm(cfg, sigma):
                 assert noise and ("does not reproduce" in str(exc)
                                   or "order ambiguous" in str(exc))
                 continue
-            want = scipy.linalg.logm(real.a_hat)
-            scale = max(1.0, np.max(np.abs(want)))
-            assert np.max(np.abs(real.a_cont * real.dt - want)) <= 1e-13 * scale
+            log_a = scipy.linalg.logm(real.a_hat)
+            scale = max(1.0, np.max(np.abs(log_a)))
+            got, want = real.poles * record.dt, np.linalg.eigvals(log_a)
+            gaps = np.abs(got[:, None] - want[None, :])
+            assert max(np.max(np.min(gaps, axis=0)),
+                       np.max(np.min(gaps, axis=1))) <= 1e-13 * scale
+            markov = estimate._realized_markov(real, count)
+            referee = ssm.markov(np.real(log_a) / record.dt, real.b_hat,
+                                 real.c_hat, count)
+            terms = real.residues[:, None] * np.vander(
+                real.poles, count, increasing=True)
+            assert np.all(np.abs(markov - referee)
+                          <= 1e-12 * np.sum(np.abs(terms), axis=0))
             assert real.diagnostics["eigvec_cond"] <= 100
             compared += 1
     assert compared >= 5
@@ -586,7 +599,7 @@ def test_era_eigendecomposition_matches_svd_referee(cfg, count, sigma):
             continue
         sing, want = svd_realization(record.values, real.order, record.dt)
         assert np.max(np.abs(real.singular_values - sing)) <= 1e-12 * sing[0]
-        got = np.linalg.eigvals(real.a_cont)
+        got = real.poles
         assert len(got) == len(want)
         miss = np.min(np.abs(got[:, None] - want[None, :]), axis=1)
         assert np.max(miss) <= 1e-10 * max(1.0, np.max(np.abs(want)))
