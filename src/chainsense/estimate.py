@@ -501,19 +501,18 @@ def era(
             f"modal form failed: eigenvector condition "
             f"{eigvec_cond:.3e}; the record's values are out of working range"
         )
-    logs = np.log(lam.astype(complex))
     residues = (c_hat @ v) * np.linalg.solve(v, b_hat)
     diagnostics["fit_residual"] = _check_fit(
-        values, logs, residues, record.noise_sigma
+        values, lam, residues, record.noise_sigma
     )
     return ERARealization(
         a_hat=a_hat, b_hat=b_hat, c_hat=c_hat, order=order,
-        singular_values=sing, poles=logs / record.dt, residues=residues,
-        diagnostics=diagnostics,
+        singular_values=sing, poles=np.log(lam.astype(complex)) / record.dt,
+        residues=residues, diagnostics=diagnostics,
     )
 
 
-def _check_fit(values, logs, residues, noise_sigma: float) -> float:
+def _check_fit(values, lam, residues, noise_sigma: float) -> float:
     """How far the realized sequence misses the samples.
 
     A gap in the Hankel spectrum does not by itself make the realization
@@ -521,11 +520,11 @@ def _check_fit(values, logs, residues, noise_sigma: float) -> float:
     records must be reproduced to FIT_RELATIVE of their largest sample,
     noisy ones to an RMS residual of FIT_NOISE_RMS sigma.
 
-    Sample k of the realized sequence is Re sum_j rho_j e^{k log lambda_j}.
+    Sample k of the realized sequence is the modal sum
+    sum_j rho_j lambda_j^k, real even where log lambda_j crosses the branch.
     """
-    count = len(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        fitted = np.exp(np.outer(np.arange(count), logs)) @ residues
+        fitted = residues @ np.vander(lam, len(values), increasing=True)
         residual = fitted.real - values
         if noise_sigma == 0:
             miss = float(np.max(np.abs(residual)) / np.max(np.abs(values)))
@@ -597,7 +596,9 @@ def moment_chain_magnitudes(markov: np.ndarray, size: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         for j in range(1, size):
             moments[2 * j] = (-1.0) ** j * (signed_first * markov[2 * j - 1])
-    hank = np.lib.stride_tricks.sliding_window_view(moments, size)
+    hank = np.empty((size, size))
+    for i in range(size):
+        hank[i] = moments[i : i + size]
     try:
         chol = np.linalg.cholesky(hank)
     except np.linalg.LinAlgError:
