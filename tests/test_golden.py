@@ -121,9 +121,10 @@ def _estimate(workdir: Path):
                         for arg in ("--set", f"{k}={v!r}")]
                 for label, (count, sigma) in (("noiseless", (400, 0.0)),
                                               ("noisy", NOISY[scheme])):
-                    code = cli_quiet(["simulate", *flags, *sets, "--count",
-                                      str(count), "--noise-sigma", repr(sigma),
-                                      "--record", str(record)])
+                    with redirect_stdout(io.StringIO()):
+                        code = cli.main(["simulate", *flags, *sets, "--count",
+                                         str(count), "--noise-sigma",
+                                         repr(sigma), "--record", str(record)])
                     assert code == 0, f"simulate {scheme} N={n} {label}"
                     argv = ["estimate", *flags, *sets, "--record", str(record)]
                     key = f"estimate/{scheme}/N{n}/{truth}/{label}"
@@ -140,11 +141,6 @@ def _oracle(workdir: Path):
 
 COMMANDS = {"analyze": _analyze, "estimate": _estimate,
             "oracle-check": _oracle}
-
-
-def cli_quiet(argv: list[str]) -> int:
-    with redirect_stdout(io.StringIO()):
-        return cli.main(argv)
 
 
 def digest(outcome: dict) -> str:
