@@ -3,8 +3,9 @@ checked against the committed corpus ``golden_reports.json``.
 
 The corpus covers ``analyze`` for every catalog scheme at N = 1..7 and
 seeds 0..2, ``simulate`` then ``estimate`` for both capable schemes at
-fixed truths (noiseless and noisy), and ``oracle-check`` at N = 2..5 for
-both capable schemes.  Each entry is the sha256 of the command's exit
+fixed truths (noiseless and noisy) and for noiseless ladder records whose
+Hankel gap lies near ``estimate.NOISELESS_GAP``, and ``oracle-check`` at
+N = 2..5 for both capable schemes.  Each entry is the sha256 of the command's exit
 code, stderr and machine report, with every float rounded to
 ``SIGNIFICANT`` digits.  Fields that are rounding residues by design are
 pinned by their bound, not by value.
@@ -56,6 +57,12 @@ NOISY = {"ladder": (400, 1e-6), "cube": (240, 1e-3)}
 #: records at random cube truths are mostly refused, and at N = 2 it sits
 #: on a surface where the realized order collapses from 12 to 8
 CUBE_TRUTH = {"ha": 1.0, "hb": 0.8, "h1": 0.6}
+
+#: factors on hb of a ladder N = 4 truth whose noiseless 400-sample records
+#: put their first qualifying Hankel gap within a decade of
+#: estimate.NOISELESS_GAP: at 2e-4 the record realizes order 6 at gap
+#: 2.5e-7, and at 1e-4 it fails the fit check
+WEAK_HB = (2e-4, 1e-4)
 
 
 def _rounded(value):
@@ -110,25 +117,36 @@ def _analyze(workdir: Path):
                     yield key, _run(argv, workdir)
 
 
-def _estimate(workdir: Path):
+def _round_trip(workdir: Path, scheme: str, n: int, binding, count: int,
+                sigma: float) -> dict:
+    """Outcome of ``estimate`` on the record ``simulate`` writes."""
+    meas, initial, _ = CAPABLE[scheme]
     record = workdir / "record.csv"
-    for scheme, (meas, initial, lengths) in CAPABLE.items():
+    flags = ["--measurement", meas, "--initial", initial, "--n-chain", str(n)]
+    sets = [arg for k, v in binding.items() for arg in ("--set", f"{k}={v!r}")]
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", *flags, *sets, "--count", str(count),
+                         "--noise-sigma", repr(sigma), "--record",
+                         str(record)])
+    assert code == 0, f"simulate {scheme} N={n} sigma={sigma!r}"
+    return _run(["estimate", *flags, *sets, "--record", str(record)], workdir)
+
+
+def _estimate(workdir: Path):
+    for scheme, (_, _, lengths) in CAPABLE.items():
         for n in lengths:
-            flags = ["--measurement", meas, "--initial", initial,
-                     "--n-chain", str(n)]
             for truth, binding in _truths(scheme, n):
-                sets = [arg for k, v in binding.items()
-                        for arg in ("--set", f"{k}={v!r}")]
                 for label, (count, sigma) in (("noiseless", (400, 0.0)),
                                               ("noisy", NOISY[scheme])):
-                    with redirect_stdout(io.StringIO()):
-                        code = cli.main(["simulate", *flags, *sets, "--count",
-                                         str(count), "--noise-sigma",
-                                         repr(sigma), "--record", str(record)])
-                    assert code == 0, f"simulate {scheme} N={n} {label}"
-                    argv = ["estimate", *flags, *sets, "--record", str(record)]
                     key = f"estimate/{scheme}/N{n}/{truth}/{label}"
-                    yield key, _run(argv, workdir)
+                    yield key, _round_trip(workdir, scheme, n, binding,
+                                           count, sigma)
+    names = ["ha", "hb", "h1", "h2", "h3"]
+    truth = random_binding(names, spawn_rng(7, "gap"))
+    for factor in WEAK_HB:
+        binding = {**truth, "hb": truth["hb"] * factor}
+        key = f"estimate/ladder/N4/hb-times-{factor!r}/noiseless"
+        yield key, _round_trip(workdir, "ladder", 4, binding, 400, 0.0)
 
 
 def _oracle(workdir: Path):
