@@ -189,6 +189,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     for name, value in (run.h_values or {}).items():
         if not math.isfinite(value):
             raise InadmissibleConfig(f"coupling {name} = {value} is not finite")
+    # spawn_rng keeps a seed's low 32 bits and numpy refuses negative ones
+    if not 0 <= run.seed < 2**32:
+        raise InadmissibleConfig(
+            f"seed {run.seed} is out of range; seeds run from 0 to {2**32 - 1}"
+        )
     return run
 
 

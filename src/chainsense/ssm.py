@@ -260,16 +260,18 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
     Hessenberg matrix H = Q^T A Q.
 
     Each new direction is orthogonalized against every earlier one twice
-    (classical Gram-Schmidt with full reorthogonalization).  If the Krylov
+    (classical Gram-Schmidt with one reorthogonalization).  If the Krylov
     space closes early, the iteration stops there: Q has fewer than
-    ``count`` columns, and that width is the number of steps reached.
+    ``count`` columns, and that width is the number of steps reached.  H
+    is formed once from the finished basis, as Q^T A Q with exact zeros
+    below the subdiagonal.
 
     A may also be a stack of shape (k, n, n), with v of shape (n,) or
     (k, n).  The slices run side by side and each stops where its own
     Krylov space closes.  A stack returns Q of shape (k, n, count) and H of
-    shape (k, count, count), both zero past each slice's width, and the
-    widths as an int array of shape (k,).  A 2-D A is a stack of one whose
-    Q and H come back trimmed to its width.
+    shape (k, count, count), both exactly zero past each slice's width, and
+    the widths as an int array of shape (k,).  A 2-D A is a stack of one
+    whose Q and H come back trimmed to its width.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 2:
@@ -279,32 +281,27 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
     k, n, _ = a.shape
     v = np.broadcast_to(np.asarray(v, dtype=float), (k, n))
     q = np.zeros((k, n, count))
-    h = np.zeros((k, count, count))
+    if count == 0:
+        return q, np.zeros((k, 0, 0)), np.zeros(k, dtype=int)
     tol = (ARNOLDI_BREAKDOWN * n * np.finfo(float).eps
            * np.linalg.norm(a, axis=(1, 2)))
-    if count == 0:
-        return q, h, np.zeros(k, dtype=int)
     beta = np.linalg.norm(v, axis=1)
     live = beta > 0
     steps = live.astype(int)
     q[live, :, 0] = v[live] / beta[live, None]
-    for j in range(count):
+    for j in range(count - 1):
         w = a @ q[:, :, j, None]
         for _ in range(2):
             coef = q[:, :, : j + 1].transpose(0, 2, 1) @ w
             w = w - q[:, :, : j + 1] @ coef
-            h[:, : j + 1, j] += coef[:, :, 0]
-        if j + 1 == count:
-            break
         norm = np.sqrt(np.sum(w[:, :, 0] ** 2, axis=1))
         live &= norm > tol
         if not live.any():
             break
         steps += live
-        h[:, j + 1, j] = np.where(live, norm, 0.0)
         np.divide(w[:, :, 0], norm[:, None], out=q[:, :, j + 1],
                   where=live[:, None])
-    return q, h, steps
+    return q, np.triu(q.transpose(0, 2, 1) @ a @ q, -1), steps
 
 
 def markov(a, b, c, count: int):

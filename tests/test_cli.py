@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainsense import cli, estimate, realization, ssm
+from chainsense import cli, estimate, exact, realization, ssm
 from chainsense.accessible import CATALOG, SensorConfig
 from chainsense.prng import random_binding, rational_binding, spawn_rng
 
@@ -164,6 +164,27 @@ def test_analyze_cube_probe_redraws_off_collapse_surfaces(capsys):
     assert "minimal_order = 12" in out
 
 
+def test_analyze_cube_probe_near_a_collapse_surface_reads_the_exact_order(
+        tmp_path, capsys):
+    # seed 1495038852 draws (-7/4, -7/16, 5/8), where e2/e1 = 2.99866 lies
+    # close to the surface e2 = 3 e1 (order 8) without lying on it, so the
+    # float Kalman width rests on rounding; it must read the exact order
+    model = ssm.build(SensorConfig(2, 2, "YaZb", "xb"))
+    rng = spawn_rng(1495038852, "analyze", model.config.scheme_tag, "2")
+    probe = cli._generic_probe(model, rng, "cube")
+    markov = ssm.markov(*ssm.evaluate_exact(model, probe), 2 * model.dim)
+    hankel = [[markov[i + j] for j in range(model.dim)]
+              for i in range(model.dim)]
+    assert exact.rank(hankel) == 12
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["analyze", "--measurement", "YaZb", "--initial", "xb",
+         "--n-chain", "2", "--seed", "1495038852", "--report", str(out_path)],
+        capsys)
+    assert code == 0
+    assert json.loads(out_path.read_text())["evidence"]["minimal_order"] == 12
+
+
 def test_analyze_cube_long_chain_undecided(capsys):
     code, out, _ = run_cli(
         ["analyze", "--measurement", "YaZb", "--n-chain", "4"], capsys)
@@ -264,6 +285,48 @@ def test_simulate_same_seed_identical_files(tmp_path, capsys):
     assert run_cli(argv + ["--record", str(p1)], capsys)[0] == 0
     assert run_cli(argv + ["--record", str(p2)], capsys)[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-5", "4294967296"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("verb", ["analyze", "simulate"])
+def test_seed_outside_32_bits_is_refused(tmp_path, capsys, verb, source,
+                                         seed):
+    # spawn_rng keeps only the low 32 bits, so 2**32 would repeat seed 0,
+    # and numpy refuses a negative seed for simulate's noise
+    rec_path = tmp_path / "rec.csv"
+    argv = (["simulate", *CUBE_FLAGS, "--count", "30", "--noise-sigma",
+             "0.001", "--record", str(rec_path)] if verb == "simulate"
+            else ["analyze", "--measurement", "ZaYb", "--n-chain", "2"])
+    if source == "flag":
+        argv += ["--seed", seed]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"[sampling]\nseed = {seed}\n")
+        argv += ["--config", str(cfg_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert one_line_error(err) and f"seed {seed} " in err
+    assert not rec_path.exists()
+
+
+def test_largest_seed_is_accepted(capsys):
+    assert run_cli(["analyze", "--measurement", "ZaYb", "--n-chain", "2",
+                    "--seed", str(2**32 - 1)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("seed", ["-5", "4294967296"])
+def test_estimate_reads_any_record_seed(tmp_path, capsys, seed):
+    rec_path = tmp_path / "rec.csv"
+    assert run_cli(["simulate", *CUBE_FLAGS, "--count", "120", "--seed", "7",
+                    "--record", str(rec_path)], capsys)[0] == 0
+    rows = rec_path.read_text().splitlines(keepends=True)
+    rec_path.write_text(rows[0] + "".join(
+        row.replace(",7,", f",{seed},") for row in rows[1:]))
+    assert rec_path.read_text().count(f",{seed},") == 120
+    code, _, _ = run_cli(["estimate", *CUBE_FLAGS, "--record", str(rec_path)],
+                         capsys)
+    assert code == 0
 
 
 def test_simulate_single_qubit_zeros_with_warning(tmp_path, capsys):

@@ -415,9 +415,79 @@ def test_arnoldi_basis_spans_the_krylov_space():
     assert q.shape == (model.dim, 4) and h.shape == (4, 4)
     assert np.allclose(q.T @ q, np.eye(4), atol=1e-14)
     assert np.allclose(h, q.T @ a @ q, atol=1e-13)
-    assert np.allclose(np.tril(h, -2), 0.0)
+    assert not np.tril(h, -2).any()
     krylov = np.column_stack(ssm.krylov(a, b, 4))
     assert np.allclose(q @ (q.T @ krylov), krylov, atol=1e-12 * np.abs(krylov).max())
+
+
+def _arnoldi_referee(a, v, count):
+    """Arnoldi that builds H column by column: each step adds both of its
+    Gram-Schmidt projections to H's column and writes the new direction's
+    norm below it.  Takes and returns what ``ssm.arnoldi`` does."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 2:
+        q, h, steps = _arnoldi_referee(a[None], v, count)
+        width = int(steps[0])
+        return q[0, :, :width], h[0, :width, :width]
+    k, n, _ = a.shape
+    v = np.broadcast_to(np.asarray(v, dtype=float), (k, n))
+    q = np.zeros((k, n, count))
+    h = np.zeros((k, count, count))
+    tol = (ssm.ARNOLDI_BREAKDOWN * n * np.finfo(float).eps
+           * np.linalg.norm(a, axis=(1, 2)))
+    if count == 0:
+        return q, h, np.zeros(k, dtype=int)
+    beta = np.linalg.norm(v, axis=1)
+    live = beta > 0
+    steps = live.astype(int)
+    q[live, :, 0] = v[live] / beta[live, None]
+    for j in range(count):
+        w = a @ q[:, :, j, None]
+        for _ in range(2):
+            coef = q[:, :, : j + 1].transpose(0, 2, 1) @ w
+            w = w - q[:, :, : j + 1] @ coef
+            h[:, : j + 1, j] += coef[:, :, 0]
+        if j + 1 == count:
+            break
+        norm = np.sqrt(np.sum(w[:, :, 0] ** 2, axis=1))
+        live &= norm > tol
+        if not live.any():
+            break
+        steps += live
+        h[:, j + 1, j] = np.where(live, norm, 0.0)
+        np.divide(w[:, :, 0], norm[:, None], out=q[:, :, j + 1],
+                  where=live[:, None])
+    return q, h, steps
+
+
+@pytest.mark.parametrize("n_chain", range(1, 7))
+@pytest.mark.parametrize("qubits,meas,initial", [
+    (qubits, meas, initial)
+    for (meas, qubits), initials in sorted(CATALOG.items())
+    for initial in initials])
+def test_arnoldi_matches_the_step_by_step_referee(qubits, meas, initial,
+                                                  n_chain):
+    """Q and the widths are the referee's to the last bit; H, formed once
+    as Q^T A Q, is the referee's to rounding, exactly zero below the
+    subdiagonal and past each slice's width."""
+    model = ssm.build(SensorConfig(n_chain, qubits, meas, initial))
+    rng = spawn_rng(9, "referee", meas, str(qubits), initial, str(n_chain))
+    a, b, c = ssm.evaluate(
+        model, [random_binding(model.param_ids, rng) for _ in range(2)])
+    for stack, v in ((a, b), (a.transpose(0, 2, 1), c)):
+        bound = 1e-12 * np.linalg.norm(stack[0])
+        q, h, steps = ssm.arnoldi(stack, v, model.dim)
+        q_ref, h_ref, steps_ref = _arnoldi_referee(stack, v, model.dim)
+        assert np.array_equal(q, q_ref) and np.array_equal(steps, steps_ref)
+        assert np.abs(h - h_ref).max() <= bound
+        assert not np.tril(h, -2).any()
+        for i, width in enumerate(steps):
+            assert not h[i, width:].any() and not h[i, :, width:].any()
+            q_i, h_i = ssm.arnoldi(stack[i], v, model.dim)
+            q_ref, h_ref = _arnoldi_referee(stack[i], v, model.dim)
+            assert np.array_equal(q_i, q_ref) and h_i.shape == h_ref.shape
+            assert np.abs(h_i - h_ref).max(initial=0.0) <= bound
+            assert not np.tril(h_i, -2).any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
