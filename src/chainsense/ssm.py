@@ -289,11 +289,12 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
     live = beta > 0
     steps = live.astype(int)
     q[live, :, 0] = v[live] / beta[live, None]
+    qt = q.transpose(0, 2, 1)
     for j in range(count - 1):
+        basis, basis_t = q[:, :, : j + 1], qt[:, : j + 1]
         w = a @ q[:, :, j, None]
         for _ in range(2):
-            coef = q[:, :, : j + 1].transpose(0, 2, 1) @ w
-            w = w - q[:, :, : j + 1] @ coef
+            w -= basis @ (basis_t @ w)
         norm = np.sqrt(np.sum(w[:, :, 0] ** 2, axis=1))
         live &= norm > tol
         if not live.any():
@@ -301,7 +302,7 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
         steps += live
         np.divide(w[:, :, 0], norm[:, None], out=q[:, :, j + 1],
                   where=live[:, None])
-    return q, np.triu(q.transpose(0, 2, 1) @ a @ q, -1), steps
+    return q, np.triu(qt @ a @ q, -1), steps
 
 
 def markov(a, b, c, count: int):
