@@ -5,9 +5,9 @@ The corpus covers ``analyze`` for every catalog scheme at N = 1..7 and
 seeds 0..2, ``simulate`` then ``estimate`` for both capable schemes at
 fixed truths (noiseless and noisy) and for noiseless ladder records whose
 Hankel gap lies near ``estimate.NOISELESS_GAP``, and ``oracle-check`` at
-N = 2..5 for both capable schemes.  Each entry is the sha256 of the command's exit
-code, stderr and machine report, with every float rounded to
-``SIGNIFICANT`` digits.  Fields that are rounding residues by design are
+N = 2..5 for both capable schemes.  Each entry is the sha256 of the
+command's exit code, stderr and machine report, with every float rounded
+to ``SIGNIFICANT`` digits.  Fields that are rounding residues by design are
 pinned by their bound, not by value.
 
 A change that alters reports on purpose regenerates the corpus with
