@@ -414,6 +414,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _refuse_flags(args, "simulate", "report")
     run = build_run_config(args)
     if not run.h_values:
         raise InadmissibleConfig(
@@ -447,6 +448,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    _refuse_flags(args, "estimate", "dt", "count", "noise_sigma")
     run = build_run_config(args)
     started = time.perf_counter()
     if not run.record_path:
@@ -665,8 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    command = "chainsense"
     try:
         args = build_parser().parse_args(argv)
+        command = args.verb
         return args.func(args)
     except UnidentifiableScheme as err:
         sys.stderr.write(f"refused: {err}\n")
@@ -676,6 +680,9 @@ def main(argv=None) -> int:
         return 4
     except ChainsenseError as err:  # inadmissible input, oracle size cap
         sys.stderr.write(f"error: {err}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write(f"error: {command} ran out of memory\n")
         return 2
 
 

@@ -250,9 +250,15 @@ def krylov(a, v, count: int) -> list:
     return out
 
 
-#: Arnoldi stops when the orthogonalized vector's norm falls to this many
-#: units of dim * eps * |A|_F
+#: Arnoldi's breakdown tolerance in units of dim * eps * |A|_F
 ARNOLDI_BREAKDOWN = 64
+
+
+def breakdown_tolerance(a: np.ndarray):
+    """The norm at or below which Arnoldi stops, for one matrix A or for
+    each slice of a stack: ARNOLDI_BREAKDOWN * dim * eps * |A|_F."""
+    return (ARNOLDI_BREAKDOWN * a.shape[-1] * np.finfo(float).eps
+            * np.sqrt(np.sum(a ** 2, axis=(-2, -1))))
 
 
 def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
@@ -261,48 +267,32 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
 
     Each new direction is orthogonalized against every earlier one twice
     (classical Gram-Schmidt with one reorthogonalization).  If the Krylov
-    space closes early, the iteration stops there: Q has fewer than
+    space closes early (the new direction's norm is at or below
+    ``breakdown_tolerance``), the iteration stops there: Q has fewer than
     ``count`` columns, and that width is the number of steps reached.  H
     is formed once from the finished basis, as Q^T A Q with exact zeros
     below the subdiagonal.
-
-    A may also be a stack of shape (k, n, n), with v of shape (n,) or
-    (k, n).  The slices run side by side and each stops where its own
-    Krylov space closes.  A stack returns Q of shape (k, n, count) and H of
-    shape (k, count, count), both exactly zero past each slice's width, and
-    the widths as an int array of shape (k,).  A 2-D A is a stack of one
-    whose Q and H come back trimmed to its width.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim == 2:
-        q, h, steps = arnoldi(a[None], v, count)
-        width = int(steps[0])
-        return q[0, :, :width], h[0, :width, :width]
-    k, n, _ = a.shape
-    v = np.broadcast_to(np.asarray(v, dtype=float), (k, n))
-    q = np.zeros((k, n, count))
-    if count == 0:
-        return q, np.zeros((k, 0, 0)), np.zeros(k, dtype=int)
-    tol = (ARNOLDI_BREAKDOWN * n * np.finfo(float).eps
-           * np.linalg.norm(a, axis=(1, 2)))
-    beta = np.linalg.norm(v, axis=1)
-    live = beta > 0
-    steps = live.astype(int)
-    q[live, :, 0] = v[live] / beta[live, None]
-    qt = q.transpose(0, 2, 1)
-    for j in range(count - 1):
-        basis, basis_t = q[:, :, : j + 1], qt[:, : j + 1]
-        w = a @ q[:, :, j, None]
+    v = np.asarray(v, dtype=float)
+    n = len(v)
+    q = np.zeros((n, count))
+    beta = np.sqrt(np.sum(v ** 2))
+    if count == 0 or not beta > 0:
+        return q[:, :0], np.zeros((0, 0))
+    q[:, 0] = v / beta
+    tol = breakdown_tolerance(a)
+    for j in range(1, count):
+        w = a @ q[:, j - 1, None]
         for _ in range(2):
-            w -= basis @ (basis_t @ w)
-        norm = np.sqrt(np.sum(w[:, :, 0] ** 2, axis=1))
-        live &= norm > tol
-        if not live.any():
+            w -= q[:, :j] @ (q[:, :j].T @ w)
+        norm = np.sqrt(np.sum(w[:, 0] ** 2))
+        if not norm > tol:
+            count = j
             break
-        steps += live
-        np.divide(w[:, :, 0], norm[:, None], out=q[:, :, j + 1],
-                  where=live[:, None])
-    return q, np.triu(qt @ a @ q, -1), steps
+        q[:, j] = w[:, 0] / norm
+    q = q[:, :count]
+    return q, np.triu(q.T @ a @ q, -1)
 
 
 def markov(a, b, c, count: int):

@@ -2,11 +2,11 @@
 
 Two minimal numeric models share the same impulse response iff a
 nonsingular S exists with S A(h) = A(h') S, S x0 = x0, C = C S, and then S
-is unique (Kalman/Ho-Kalman realization theory).  The certificate builds S
-in orthonormal Krylov bases: Arnoldi on (A, x0) and (A', x0) gives Q, H and
-Q', H', and any such S becomes an upper-triangular T = Q'^T S Q with
-T e_1 = e_1 and T H = H' T, which fixes T column by column in O(dim^3).
-The residual of all three constraints at S = Q' T Q^T then decides.
+is unique (Kalman/Ho-Kalman realization theory).  The ladder's minimal A
+is upper Hessenberg and x0 = e_1, so the unit vectors are its own Krylov
+basis (Lanczos; Parlett, The Symmetric Eigenvalue Problem, ch. 7), and S
+is the upper-triangular T with T e_1 = e_1 and T A = A' T, fixed column by
+column in O(dim^3).  The residual of all three constraints then decides.
 
 Verdicts are deliberately three-valued: "equivalent" needs a small residual
 and a clearly nonsingular S, "inequivalent" needs a clearly violated
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact, realization, ssm
-from .errors import AtypicalParameters, NumericFailure
+from .errors import AtypicalParameters, DimensionMismatch, NumericFailure
 from .prng import rational_binding, spawn_rng
 from .ssm import StateSpaceModel
 
@@ -54,43 +54,46 @@ class STAInstance:
 def solve_similarity_raw(a_h, a_hp, x0, c, pair=None) -> STAInstance | list[STAInstance]:
     """Krylov certificate on explicit numeric triples (no minimality check).
 
-    ``a_hp`` is one matrix, which gives one instance, or a stack of shape
-    (k, n, n), which gives a list of k instances.  ``a_h`` is one matrix,
-    the reference of every candidate, or a stack of references: candidate
-    i pairs with ``a_h[pair[i]]``, and without ``pair`` the stack is
-    matched one to one with ``a_hp``.  One stacked ``ssm.arnoldi`` call
-    forms the bases of the references and of the candidates together.  Each
-    pair gets its own verdict, and a pair in which either Krylov space
-    closes early is degenerate with its own ``breakdown_step``.
+    Every A must be upper Hessenberg and x0 a nonzero multiple of e_1;
+    other input is refused with ``DimensionMismatch``.  ``a_hp`` is one
+    matrix, which gives one instance, or a stack of shape (k, n, n), which
+    gives a list of k instances.  ``a_h`` is one matrix, the reference of
+    every candidate, or a stack of references: candidate i pairs with
+    ``a_h[pair[i]]``, and without ``pair`` the stack is matched one to one
+    with ``a_hp``.  Each pair gets its own verdict, and a pair in which
+    either Krylov space closes early is degenerate with its own
+    ``breakdown_step``.
     """
-    a_h = np.asarray(a_h, dtype=float)
-    a_hp = np.asarray(a_hp, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    c = np.asarray(c, dtype=float)
+    a_h, a_hp, x0, c = (np.asarray(x, dtype=float) for x in (a_h, a_hp, x0, c))
     stack = a_hp[None] if a_hp.ndim == 2 else a_hp
     n = stack.shape[-1]
     refs = a_h.reshape(-1, n, n)
+    both = np.concatenate([refs, stack])
+    if np.tril(both, -2).any() or not x0[0] or x0[1:].any():
+        raise DimensionMismatch(
+            "the certificate needs upper Hessenberg A and x0 on e_1")
     if pair is None:
         pair = range(len(stack)) if a_h.ndim == 3 else [0] * len(stack)
     pair = np.asarray(pair, dtype=np.intp)
-    r = len(refs)
     paired = refs[pair]
     scales = np.maximum(1.0, np.linalg.norm(paired, axis=(1, 2)))
-    q, h, steps = ssm.arnoldi(np.concatenate([refs, stack]), x0, n)
-    # a pair is degenerate where either of its Krylov spaces closes early
-    steps = np.minimum(steps[:r][pair], steps[r:])
+    # Arnoldi from e_1 stops after step j where |A[j+1, j]| is at or below
+    # its tolerance; a pair is degenerate where either Krylov space closes
+    tol = ssm.breakdown_tolerance(both)[:, None]
+    alive = np.abs(np.diagonal(both, -1, axis1=1, axis2=2)) > tol
+    steps = 1 + np.logical_and.accumulate(alive, axis=1).sum(axis=1)
+    steps = np.minimum(steps[: len(refs)][pair], steps[len(refs):])
     full = steps == n
     if full.any():
-        q, h, qp, hp = (q[:r][pair][full], h[:r][pair][full],
-                        q[r:][full], h[r:][full])
-        t = np.zeros(hp.shape)
+        a, ap = paired[full], stack[full]
+        t = np.zeros(ap.shape)
         t[:, 0, 0] = 1.0
         for j in range(n - 1):
-            t[:, :, j + 1] = ((hp @ t[:, :, j, None] - t[:, :, : j + 1]
-                               @ h[:, : j + 1, j, None])[:, :, 0]
-                              / h[:, j + 1, j, None])
+            t[:, :, j + 1] = ((ap @ t[:, :, j, None] - t[:, :, : j + 1]
+                               @ a[:, : j + 1, j, None])[:, :, 0]
+                              / a[:, j + 1, j, None])
         s = np.zeros(stack.shape)
-        s[full] = qp @ t @ q.transpose(0, 2, 1)
+        s[full] = t
         residuals = np.sqrt(
             np.sum((s @ paired - stack @ s) ** 2, axis=(1, 2))
             + np.sum((s @ x0 - x0) ** 2, axis=1)
@@ -201,29 +204,27 @@ class ScanReport:
 
 def _minimal_triple(model: StateSpaceModel, bindings):
     """Float (A, x0, C) of the minimal system at an exact binding.  A list
-    of k bindings gives A as a stack of shape (k, m, m), reduced by one
-    stacked Arnoldi; x0 and C do not depend on the binding.
+    of k bindings gives A as a stack of shape (k, m, m); x0 and C do not
+    depend on the binding.
 
-    At odd N the ladder has one unobservable direction z, orthogonal to the
-    observability Krylov space of dim m = dim - 1.  The structure-preserving
-    reduction keeps the first m entries of B and C and folds A's last row
-    into the rest with w = -z[:m] / z[m]: the float form of
-    ``realization.spt_minimal``, whose w = Pbar^{-1} p.
+    At odd N the ladder has one unobservable direction: the kernel z of A.
+    With a_i = A[i, i+1], z_odd = 0 and z_{2j+2} = z_{2j} a_{2j} / a_{2j+1}.
+    The structure-preserving reduction keeps the first m = dim - 1 entries
+    of B and C and adds w = -z[:m] / z[m] times A[m, m-1], the last row's
+    one nonzero, into column m-1: the float form of
+    ``realization.a_tilde_last_column_closed_form``.
     """
     stack = isinstance(bindings, list)
     a, b, c = ssm.evaluate(model, bindings if stack else [bindings])
     if model.config.n_chain % 2:
         m = model.dim - 1
-        q, _, steps = ssm.arnoldi(a.transpose(0, 2, 1), c, m)
-        if np.any(steps < m):
-            raise AtypicalParameters("observability space closes early at this binding")
+        sup = np.diagonal(a, 1, axis1=1, axis2=2)
         z = np.zeros((len(a), m + 1))
-        z[:, m] = 1.0
-        for _ in range(2):
-            z -= (q @ (q.transpose(0, 2, 1) @ z[:, :, None]))[:, :, 0]
+        z[:, 0] = 1.0
+        z[:, 2::2] = np.cumprod(sup[:, 0::2] / sup[:, 1::2], axis=1)
         w = -z[:, :m] / z[:, m, None]
-        a = a[:, :m, :m] + w[:, :, None] * a[:, None, m, :m]
-        b, c = b[:m], c[:m]
+        a[:, :m, m - 1] += w * a[:, m, m - 1, None]
+        a, b, c = a[:, :m, :m].copy(), b[:m], c[:m]
     return (a if stack else a[0]), b, c
 
 

@@ -878,14 +878,36 @@ def test_oracle_check_refuses_couplings_too_large_to_check(tmp_path, capsys):
     ("oracle-check", ["--count", "5"], "--count"),
     ("oracle-check", ["--noise-sigma", "0.1"], "--noise-sigma"),
     ("oracle-check", ["--record", "rec.csv", "--dt", "1"], "--dt, --record"),
+    ("simulate", ["--report", "r.json"], "--report"),
+    ("estimate", ["--dt", "5"], "--dt"),
+    ("estimate", ["--count", "999"], "--count"),
+    ("estimate", ["--noise-sigma", "3"], "--noise-sigma"),
+    ("estimate", ["--count", "999", "--dt", "5", "--noise-sigma", "3"],
+     "--dt, --count, --noise-sigma"),
 ], ids=["analyze-set", "analyze-dt", "analyze-count", "analyze-noise",
         "analyze-record", "analyze-two", "oracle-dt", "oracle-count",
-        "oracle-noise", "oracle-two"])
+        "oracle-noise", "oracle-two", "simulate-report", "estimate-dt",
+        "estimate-count", "estimate-noise", "estimate-three"])
 def test_commands_refuse_flags_they_ignore(capsys, verb, extra, named):
     code, out, err = run_cli(
         [verb, "--measurement", "ZaYb", "--n-chain", "2", *extra], capsys)
     assert code == 2 and out == ""
     assert err == f"error: {verb} does not use {named}\n"
+
+
+def test_a_record_too_large_for_memory_is_one_error_line(tmp_path, capsys,
+                                                         monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(estimate, "simulate_record", out_of_memory)
+    record = tmp_path / "rec.csv"
+    code, out, err = run_cli(
+        ["simulate", "--set", "ha=1", "--set", "hb=1", "--n-chain", "1",
+         "--count", "100000000000", "--record", str(record)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: simulate ran out of memory\n"
+    assert not record.exists()
 
 
 def test_analyze_and_oracle_check_accept_a_shared_config_file(tmp_path,
@@ -1163,24 +1185,21 @@ def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
 
 
 def test_ladder_analyze_makes_one_arnoldi_pass_per_reduction(capsys, monkeypatch):
-    # the two Kalman stages (the second gives the observability rank) and
-    # one certificate for the whole scan; at odd N one more for the scan's
-    # stacked reduction.  A 2-D call runs as a stack of one, so counting
-    # stacks counts passes
+    # the two Kalman stages (the second gives the observability rank); the
+    # scan's reduction and certificate work on the ladder's own basis
     passes = []
     arnoldi = ssm.arnoldi
 
     def counted(a, v, count):
-        if np.ndim(a) == 3:
-            passes.append(len(a))
+        passes.append(np.ndim(a))
         return arnoldi(a, v, count)
 
     monkeypatch.setattr(ssm, "arnoldi", counted)
-    for n_chain, expected in ((8, 3), (9, 4)):
+    for n_chain in (8, 9):
         passes.clear()
         assert run_cli(["analyze", "--measurement", "ZaYb",
                         "--n-chain", str(n_chain)], capsys)[0] == 0
-        assert len(passes) == expected
+        assert passes == [2, 2]  # two one-matrix calls
 
 
 def test_benchmark_designated_functions_exist():

@@ -425,39 +425,31 @@ def _arnoldi_referee(a, v, count):
     Gram-Schmidt projections to H's column and writes the new direction's
     norm below it.  Takes and returns what ``ssm.arnoldi`` does."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 2:
-        q, h, steps = _arnoldi_referee(a[None], v, count)
-        width = int(steps[0])
-        return q[0, :, :width], h[0, :width, :width]
-    k, n, _ = a.shape
-    v = np.broadcast_to(np.asarray(v, dtype=float), (k, n))
-    q = np.zeros((k, n, count))
-    h = np.zeros((k, count, count))
+    v = np.asarray(v, dtype=float)
+    n = len(v)
+    q = np.zeros((n, count))
+    h = np.zeros((count, count))
     tol = (ssm.ARNOLDI_BREAKDOWN * n * np.finfo(float).eps
-           * np.linalg.norm(a, axis=(1, 2)))
-    if count == 0:
-        return q, h, np.zeros(k, dtype=int)
-    beta = np.linalg.norm(v, axis=1)
-    live = beta > 0
-    steps = live.astype(int)
-    q[live, :, 0] = v[live] / beta[live, None]
-    for j in range(count):
-        w = a @ q[:, :, j, None]
+           * np.linalg.norm(a, axis=(0, 1)))
+    beta = np.linalg.norm(v, axis=0)
+    width = int(count > 0 and beta > 0)
+    if width:
+        q[:, 0] = v / beta
+    for j in range(count if width else 0):
+        w = a @ q[:, j, None]
         for _ in range(2):
-            coef = q[:, :, : j + 1].transpose(0, 2, 1) @ w
-            w = w - q[:, :, : j + 1] @ coef
-            h[:, : j + 1, j] += coef[:, :, 0]
+            coef = q[:, : j + 1].T @ w
+            w = w - q[:, : j + 1] @ coef
+            h[: j + 1, j] += coef[:, 0]
         if j + 1 == count:
             break
-        norm = np.sqrt(np.sum(w[:, :, 0] ** 2, axis=1))
-        live &= norm > tol
-        if not live.any():
+        norm = np.linalg.norm(w[:, 0], axis=0)
+        if not norm > tol:
             break
-        steps += live
-        h[:, j + 1, j] = np.where(live, norm, 0.0)
-        np.divide(w[:, :, 0], norm[:, None], out=q[:, :, j + 1],
-                  where=live[:, None])
-    return q, h, steps
+        width += 1
+        h[j + 1, j] = norm
+        q[:, j + 1] = w[:, 0] / norm
+    return q[:, :width], h[:width, :width]
 
 
 @pytest.mark.parametrize("n_chain", range(1, 7))
@@ -467,28 +459,22 @@ def _arnoldi_referee(a, v, count):
     for initial in initials])
 def test_arnoldi_matches_the_step_by_step_referee(qubits, meas, initial,
                                                   n_chain):
-    """Q and the widths are the referee's to the last bit; H, formed once
-    as Q^T A Q, is the referee's to rounding, exactly zero below the
-    subdiagonal and past each slice's width."""
+    """Q and its width are the referee's to the last bit; H, formed once
+    as Q^T A Q, is the referee's to rounding and exactly zero below the
+    subdiagonal."""
     model = ssm.build(SensorConfig(n_chain, qubits, meas, initial))
     rng = spawn_rng(9, "referee", meas, str(qubits), initial, str(n_chain))
     a, b, c = ssm.evaluate(
         model, [random_binding(model.param_ids, rng) for _ in range(2)])
     for stack, v in ((a, b), (a.transpose(0, 2, 1), c)):
-        bounds = 1e-12 * np.linalg.norm(stack, axis=(1, 2))
-        q, h, steps = ssm.arnoldi(stack, v, model.dim)
-        q_ref, h_ref, steps_ref = _arnoldi_referee(stack, v, model.dim)
-        assert np.array_equal(q, q_ref) and np.array_equal(steps, steps_ref)
-        assert np.all(np.abs(h - h_ref).max(axis=(1, 2)) <= bounds)
-        assert not np.tril(h, -2).any()
-        for i, width in enumerate(steps):
-            assert not h[i, width:].any() and not h[i, :, width:].any()
-            q_one, h_one = ssm.arnoldi(stack[i], v, model.dim)
-            q_ref_one, h_ref_one = _arnoldi_referee(stack[i], v, model.dim)
-            assert np.array_equal(q_one, q_ref_one)
-            assert h_one.shape == h_ref_one.shape == (width, width)
-            assert np.abs(h_one - h_ref_one).max(initial=0.0) <= bounds[i]
-            assert not np.tril(h_one, -2).any()
+        for a_i in stack:
+            q, h = ssm.arnoldi(a_i, v, model.dim)
+            q_ref, h_ref = _arnoldi_referee(a_i, v, model.dim)
+            assert np.array_equal(q, q_ref)
+            assert h.shape == h_ref.shape == (q.shape[1],) * 2
+            assert (np.abs(h - h_ref).max(initial=0.0)
+                    <= 1e-12 * np.linalg.norm(a_i))
+            assert not np.tril(h, -2).any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -497,69 +483,6 @@ def test_arnoldi_stops_where_the_krylov_space_closes():
     q, h = ssm.arnoldi(a, np.array([1.0, 1.0, 0.0, 0.0]), 4)
     assert q.shape == (4, 2) and h.shape == (2, 2)
     assert ssm.arnoldi(a, np.zeros(4), 4)[0].shape == (4, 0)
-
-
-@pytest.mark.parametrize("n_chain", range(2, 10))
-@pytest.mark.parametrize("scheme", [("ZaYb", "xa"), ("YaZb", "xb")])
-def test_stacked_arnoldi_slices_match_single_calls(scheme, n_chain):
-    """Each slice of a stack reaches the 2-D call's width with its Q and H,
-    and is zero past it.  The binding with hb = 0 cuts the chain off, so
-    both of its Krylov spaces close at step 2 while the others run on."""
-    model = ssm.build(SensorConfig(n_chain, 2, *scheme))
-    rng = spawn_rng(6, "stack", *scheme, str(n_chain))
-    bindings = [random_binding(model.param_ids, rng) for _ in range(3)]
-    bindings.append(dict(bindings[0], hb=0.0))
-    a, b, c = ssm.evaluate(model, bindings)
-    # the cube's spaces run to hundreds of steps from N = 4; 48 keep this fast
-    count = min(model.dim, 48)
-    starts = rng.normal(size=(len(a), model.dim))
-    for stack, v in ((a, b), (a.transpose(0, 2, 1), c), (a, starts)):
-        q, h, steps = ssm.arnoldi(stack, v, count)
-        assert q.shape == (len(a), model.dim, count)
-        assert h.shape == (len(a), count, count)
-        for i, v_i in enumerate(np.broadcast_to(v, (len(a), model.dim))):
-            q_i, h_i = ssm.arnoldi(stack[i], v_i, count)
-            width = q_i.shape[1]
-            assert steps[i] == width
-            assert np.allclose(q[i, :, :width], q_i, rtol=0, atol=1e-12)
-            assert np.allclose(h[i, :width, :width], h_i, rtol=0, atol=1e-12)
-            assert not q[i, :, width:].any()
-            assert not h[i, width:].any() and not h[i, :, width:].any()
-        if v is not starts:
-            assert steps[-1] == 2 < min(steps[:-1])
-
-
-@pytest.mark.parametrize("scheme,n_chain,count", [
-    (("ZaYb", "xa"), 9, 34), (("YaZb", "xb"), 2, 17)])
-def test_stacked_arnoldi_slices_are_bit_identical(scheme, n_chain, count):
-    """A slice of a stack reproduces the one-matrix call to the last bit, so
-    batching more bindings into one call cannot move a width or a verdict."""
-    model = ssm.build(SensorConfig(n_chain, 2, *scheme))
-    rng = spawn_rng(8, "bits", *scheme, str(n_chain))
-    a, b, c = ssm.evaluate(
-        model, [rational_binding(model.param_ids, rng) for _ in range(count)])
-    for stack, v in ((a, b), (a.transpose(0, 2, 1), c)):
-        q, h, steps = ssm.arnoldi(stack, v, model.dim)
-        for i in range(count):
-            q_i, h_i = ssm.arnoldi(stack[i], v, model.dim)
-            width = q_i.shape[1]
-            assert steps[i] == width
-            assert np.array_equal(q[i, :, :width], q_i)
-            assert np.array_equal(h[i, :width, :width], h_i)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_stacked_arnoldi_stops_each_slice_on_its_own():
-    full = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
-    stack = np.stack([np.diag([1.0, 2.0, 3.0]), full])
-    q, h, steps = ssm.arnoldi(stack, np.array([1.0, 0.0, 0.0]), 3)
-    assert steps.tolist() == [1, 3]
-    assert np.allclose(q[0, :, 0], [1.0, 0.0, 0.0])
-    assert not q[0, :, 1:].any() and not h[0, :, 1:].any()
-    assert np.allclose(q[1].T @ q[1], np.eye(3), atol=1e-14)
-    assert np.allclose(h[1], q[1].T @ full @ q[1], atol=1e-14)
-    q, h, steps = ssm.arnoldi(stack, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), 3)
-    assert steps.tolist() == [0, 3] and not q[0].any()
 
 
 @pytest.mark.parametrize("n_chain", range(1, 61))

@@ -13,7 +13,9 @@ import pytest
 
 from chainsense import realization, ssm, sta
 from chainsense.accessible import SensorConfig
+from chainsense.errors import DimensionMismatch
 from chainsense.prng import random_binding, rational_binding, spawn_rng
+from test_ssm import _arnoldi_referee
 
 # a 0/0 or overflow inside the certificate is a bug, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -184,16 +186,35 @@ def test_certificate_verdicts_on_long_chains(n_chain):
         assert inst.residual >= 1e-4
 
 
-@pytest.mark.parametrize("n_chain", range(3, 26, 2))
+@pytest.mark.parametrize("n_chain", range(1, 66, 2))
 def test_float_spt_matches_exact_reduction(n_chain):
     model = ladder(n_chain)
     binding = rational_binding(model.param_ids, spawn_rng(19, str(n_chain)))
     a_min, b_min, c_min = sta._minimal_triple(model, binding)
     minimal, _ = realization.spt_minimal(model, binding)
     ref = np.array([[float(v) for v in row] for row in minimal.a_min])
-    assert np.max(np.abs(a_min - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(a_min - ref)) <= 4e-15 * np.max(np.abs(ref))
     assert b_min.tolist() == [float(v) for v in minimal.b_min]
     assert c_min.tolist() == [float(v) for v in minimal.c_min]
+
+
+@pytest.mark.parametrize("n_chain", range(1, 41))
+def test_ladder_arnoldi_basis_is_the_signed_unit_basis(n_chain):
+    """On the ladder's minimal A (tridiagonal at even N, one full last
+    column at odd N) Arnoldi from x0 = e_1 returns Q = D = diag(+-1) and
+    H = D A D, both exactly: the unit vectors are the Krylov basis the
+    certificate works in."""
+    model = ladder(n_chain)
+    binding = rational_binding(model.param_ids, spawn_rng(37, str(n_chain)))
+    if n_chain % 2:
+        a, b, _ = sta._minimal_triple(model, binding)
+    else:
+        a, b, _ = ssm.evaluate(model, binding)
+    q, h = ssm.arnoldi(a, b, len(b))
+    d = np.diagonal(q)
+    assert np.array_equal(np.abs(q), np.eye(len(b)))
+    assert np.array_equal(h, q.T @ a @ q)
+    assert np.array_equal(h, d[:, None] * a * d)
 
 
 def test_krylov_breakdown_is_degenerate():
@@ -203,6 +224,21 @@ def test_krylov_breakdown_is_degenerate():
     assert inst.verdict == "degenerate"
     assert inst.diagnostics["breakdown_step"] == 1
     assert inst.s_matrix is None
+
+
+def test_certificate_refuses_input_off_its_krylov_basis():
+    a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+    x0 = np.array([1.0, 0.0, 0.0])
+    dense = a.copy()
+    dense[2, 0] = 0.5  # below the subdiagonal: not upper Hessenberg
+    refusal = "needs upper Hessenberg A and x0 on e_1"
+    for a_h, a_hp in ((dense, a), (a, dense), (a, np.stack([a, dense]))):
+        with pytest.raises(DimensionMismatch, match=refusal):
+            sta.solve_similarity_raw(a_h, a_hp, x0, x0)
+    for start in ([0.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(DimensionMismatch, match=refusal):
+            sta.solve_similarity_raw(a, a, np.array(start), x0)
+    assert sta.solve_similarity_raw(a, a, 2 * x0, x0).verdict == "equivalent"
 
 
 def test_stacked_certificate_breakdown_is_per_slice():
@@ -375,3 +411,85 @@ def test_exact_certificate_lifts_the_dim_cap():
     inst = sta.solve_similarity_exact(a, a_p, b, c)
     assert inst.verdict == "inequivalent"
     assert inst.residual > 0
+
+
+def arnoldi_certificate(a_h, a_hp, x0, c, pair):
+    """The certificate in Arnoldi bases, the referee of
+    ``sta.solve_similarity_raw``: Q, H of each reference and Q', H' of
+    each candidate from ``_arnoldi_referee``, the upper-triangular T with
+    T e_1 = e_1 and T H = H' T, then S = Q' T Q^T.  Returns each pair's
+    (verdict, residual, det S, S or None, breakdown step or None)."""
+    n = len(x0)
+
+    def bases(stack):
+        q, h, steps = np.zeros(stack.shape), np.zeros(stack.shape), []
+        for q_i, h_i, a in zip(q, h, stack):
+            basis, hess = _arnoldi_referee(a, x0, n)
+            width = basis.shape[1]
+            q_i[:, :width], h_i[:width, :width] = basis, hess
+            steps.append(width)
+        return q, h, np.array(steps)
+
+    pair = np.asarray(pair, dtype=np.intp)
+    q, h, steps = bases(a_h)
+    q, h, paired = q[pair], h[pair], a_h[pair]
+    qp, hp, steps_p = bases(a_hp)
+    steps = np.minimum(steps[pair], steps_p)
+    full = steps == n
+    q, h, qp, hp = q[full], h[full], qp[full], hp[full]
+    t = np.zeros(hp.shape)
+    t[:, 0, 0] = 1.0
+    for j in range(n - 1):
+        t[:, :, j + 1] = ((hp @ t[:, :, j, None] - t[:, :, : j + 1]
+                           @ h[:, : j + 1, j, None])[:, :, 0]
+                          / h[:, j + 1, j, None])
+    s = np.zeros(a_hp.shape)
+    s[full] = qp @ t @ q.transpose(0, 2, 1)
+    residuals = np.sqrt(
+        np.sum((s @ paired - a_hp @ s) ** 2, axis=(1, 2))
+        + np.sum((s @ x0 - x0) ** 2, axis=1)
+        + np.sum((c @ s - c) ** 2, axis=1))
+    dets = np.linalg.det(s)
+    scales = np.maximum(1.0, np.linalg.norm(paired, axis=(1, 2)))
+    out = []
+    for i, reached in enumerate(steps):
+        if reached < n:
+            out.append(("degenerate", float("inf"), 0.0, None, int(reached)))
+            continue
+        if (residuals[i] <= sta.EQUIV_RESIDUAL_SCALE * scales[i]
+                and abs(dets[i]) > sta.DET_THRESHOLD):
+            verdict = "equivalent"
+        elif residuals[i] >= sta.INEQUIV_RESIDUAL:
+            verdict = "inequivalent"
+        else:
+            verdict = "degenerate"
+        out.append((verdict, float(residuals[i]), float(dets[i]),
+                    s[i] if verdict == "equivalent" else None, None))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_chain", range(1, 17))
+def test_certificate_is_the_arnoldi_certificate_to_the_last_bit(
+        n_chain, seed, monkeypatch):
+    """On every instance the scan certifies, solving T A = A' T on the
+    triples themselves gives the verdict, residual, det S and S of the
+    certificate in Arnoldi bases, bit for bit."""
+    calls = []
+    solve = sta.solve_similarity_raw
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sta, "solve_similarity_raw", recorded)
+    sta.identifiability_scan(ladder(n_chain), seed=seed)
+    ((a_h, a_hp, x0, c, pair),) = calls
+    for got, (verdict, residual, det_s, s, breakdown) in zip(
+            solve(a_h, a_hp, x0, c, pair),
+            arnoldi_certificate(a_h, a_hp, x0, c, pair), strict=True):
+        assert got.verdict == verdict
+        assert got.residual == residual and got.det_s == det_s
+        assert got.diagnostics.get("breakdown_step") == breakdown
+        assert (got.s_matrix is None and s is None
+                or np.array_equal(got.s_matrix, s))
