@@ -10,7 +10,12 @@ class ChainsenseError(Exception):
 
 
 class DimensionMismatch(ChainsenseError):
-    """Two operators (or an operator and a register) disagree on qubit count."""
+    """Input lacks the shape or structure the operation is defined on.
+
+    Two operators (or an operator and a register) disagree on qubit
+    count; a matrix lacks the form a routine relies on (an A that is not
+    upper Hessenberg, the SPT reduction outside odd N); a polynomial
+    system is empty; or a computed basis fails its own check."""
 
 
 class NonHermitianOperator(ChainsenseError):

@@ -4,8 +4,6 @@ from .groebner import (
     GroebnerBasis,
     SolveResult,
     buchberger,
-    count_real_roots,
-    rational_roots,
     reduce_poly,
     s_poly,
     solve_identifiability,
@@ -39,13 +37,11 @@ __all__ = [
     "RationalTransfer",
     "SolveResult",
     "buchberger",
-    "count_real_roots",
     "cube_equations",
     "markov_from_transfer",
     "minimal_denominator_exact",
     "model_ring",
     "parse",
-    "rational_roots",
     "reduce_poly",
     "render",
     "s_poly",

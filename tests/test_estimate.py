@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chainsense import estimate, ssm
+from chainsense import cli, estimate, ssm
 from chainsense.accessible import SensorConfig
 from chainsense.errors import (
     InadmissibleConfig,
@@ -740,6 +740,40 @@ def test_cube_closed_forms_match_groebner_solve(v, unique):
     assert (solved.verdict == "unique") is unique
     if unique:
         assert solved.solutions == [dict(zip(("t1", "t2", "t3"), theta))]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cube_elimination_probe_basis_is_one_point(n):
+    # every analyze probe's reduced basis is t_i - c_i, one per unknown
+    cfg = cube_cfg(n)
+    model = ssm.build(cfg)
+    for seed in range(31):
+        rng = spawn_rng(seed, "analyze", cfg.scheme_tag, str(n))
+        probe = cli._generic_probe(model, rng, "cube")
+        markov = ssm.markov(*ssm.evaluate_exact(model, probe), 2 * n + 2)
+        solved, _ = estimate.cube_elimination(model, markov)
+        assert solved.verdict == "unique"
+        assert len(solved.basis) == n + 1
+        assert all(g.total_degree() == 1 for g in solved.basis)
+        theta = [probe["ha"], probe["hb"] ** 2]
+        theta += [probe[f"h{i}"] ** 2 for i in range(1, n)]
+        assert solved.solutions == [
+            {f"t{i + 1}": value for i, value in enumerate(theta)}
+        ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cube_elimination_zero_first_markov(n):
+    # m1 = 0 sets t1 = 0, which every later odd Markov polynomial carries
+    model = ssm.build(cube_cfg(n))
+    zero = [Fraction(0)] * (2 * n + 2)
+    solved, recovered = estimate.cube_elimination(model, zero)
+    assert solved.verdict == "infinite" and recovered is None
+    for k in range(3, 2 * n + 2, 2):
+        markov = list(zero)
+        markov[k] = Fraction(1, 3)
+        solved, recovered = estimate.cube_elimination(model, markov)
+        assert solved.verdict == "empty" and recovered is None
 
 
 def test_cube_recovery_n1():

@@ -15,26 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsense import ssm
+from chainsense import estimate, ssm
 from chainsense.accessible import CATALOG, SensorConfig
 from chainsense.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     InadmissibleConfig,
     NumericFailure,
 )
+from chainsense.symca import groebner
 from chainsense.symca import (
+    GroebnerBasis,
     MPoly,
     PolyRing,
     RatFunc,
     RatFuncField,
     buchberger,
-    count_real_roots,
     cube_equations,
     markov_from_transfer,
     minimal_denominator_exact,
     model_ring,
     parse,
-    rational_roots,
     render,
     solve_identifiability,
     square_substitute,
@@ -310,20 +311,56 @@ def test_solve_negative_square_filtered():
     assert res.verdict == "empty"
 
 
-def test_sturm_root_counts():
-    f = Fraction
-    assert count_real_roots([f(-2), f(0), f(1)]) == 2      # x^2 - 2
-    assert count_real_roots([f(1), f(0), f(1)]) == 0       # x^2 + 1
-    assert count_real_roots([f(0), f(-1), f(0), f(1)]) == 3  # x^3 - x
-    assert count_real_roots([f(1), f(-2), f(1)]) == 1      # (x - 1)^2
-    assert count_real_roots([f(5)]) == 0
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(4)])
+def test_solve_nonlinear_point_basis_is_finite_unenumerated(c):
+    # a leading monomial above degree 1 is reported, not solved, even where
+    # its roots are rational (t1^2 - 4)
+    ring = PolyRing(("t1",), "lex")
+    eq = MPoly.var(ring, "t1", 2) - MPoly.const(ring, c)
+    res = solve_identifiability([eq], square_vars=("t1",))
+    assert res.verdict == "finite"
+    assert res.count is None and res.solutions == []
+    assert "not enumerated" in res.detail
 
 
-def test_rational_root_enumeration():
-    f = Fraction
-    assert rational_roots([f(1), f(-5), f(6)]) == [f(1, 3), f(1, 2)]
-    assert rational_roots([f(-2), f(0), f(1)]) == []
-    assert rational_roots([f(0), f(0), f(1)]) == [f(0)]
+def test_solve_reads_point_in_any_order():
+    t = (Fraction(1), Fraction(16, 25), Fraction(9, 25))
+    v2 = 10 * t[0] ** 3 + 7 * t[0] * t[1] + 11 * t[0] * t[2]
+    v3 = 11 * (t[0] ** 2 + t[1] + t[2])
+    _, eqs = cube_equations(t[0], v2, v3)
+    ring = PolyRing(("t1", "t2", "t3"), "grevlex")
+    res = solve_identifiability([MPoly(ring, p.terms) for p in eqs],
+                                square_vars=("t2", "t3"))
+    assert res.verdict == "unique"
+    assert res.solutions == [dict(zip(("t1", "t2", "t3"), t))]
+    assert all(g.ring is ring and g.total_degree() == 1 for g in res.basis)
+
+
+def test_solve_refuses_a_point_off_the_equations(monkeypatch):
+    # the point read off the basis is checked against the input, as the
+    # basis itself is checked against the Buchberger criterion
+    ring = PolyRing(("t1",), "lex")
+    t1 = MPoly.var(ring, "t1")
+    wrong = GroebnerBasis([t1 - MPoly.const(ring, 1)], ring, 0)
+    monkeypatch.setattr(groebner, "buchberger", lambda eqs: wrong)
+    with pytest.raises(DimensionMismatch, match="basis point"):
+        solve_identifiability([t1 - MPoly.const(ring, 2)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cube_markov_light_cone(n):
+    # theta_{k+1} first enters m_{2k+1}, linearly, times c * t1 ... t_k
+    ring, linear, squared = estimate.cube_theta_ring(n)
+    sym = symbolic_markov(cube(n), 2 * n + 2)
+    names = ring.variables
+    for k in range(n + 1):
+        m = square_substitute(sym[2 * k + 1], ring, linear, squared)
+        assert m.degree_in(names[k]) == 1
+        assert all(m.degree_in(later) == 0 for later in names[k + 1:])
+        coeff = [(e, c) for e, c in m.terms.items() if e[k] == 1]
+        assert len(coeff) == 1
+        (e, c), = coeff
+        assert e == (1,) * (k + 1) + (0,) * (n - k) and c != 0
 
 
 # -- symbolic transfer and Markov parameters ---------------------------------
