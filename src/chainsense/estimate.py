@@ -658,7 +658,9 @@ def recover_parameters(
     Two-qubit ladder: moment-chain factorization of the Markov data.
     Two-qubit cube (short chains): exact polynomial elimination on the
     odd Markov parameters.  Everything else carries no information and
-    is refused.
+    is refused, and so is a ladder realization whose order is not the
+    structural N + 2 - (N mod 2): read at a longer N, a shorter chain's
+    record would give made-up couplings.
     """
     capability = config.capability
     if capability == "orthogonal":
@@ -711,6 +713,11 @@ def recover_parameters(
         raise NumericFailure(
             "recovered magnitudes are not finite; the record's values are "
             "out of working range"
+        )
+    if capability == "ladder" and real.order != expected:
+        raise NumericFailure(
+            f"realized order {real.order} differs from the ladder's structural "
+            f"order {expected} at N={n}; the record does not fit this scheme"
         )
     return RecoveryResult(magnitudes, method, real, diagnostics)
 

@@ -6,7 +6,9 @@ is unique (Kalman/Ho-Kalman realization theory).  The ladder's minimal A
 is upper Hessenberg and x0 = e_1, so the unit vectors are its own Krylov
 basis (Lanczos; Parlett, The Symmetric Eigenvalue Problem, ch. 7), and S
 is the upper-triangular T with T e_1 = e_1 and T A = A' T, fixed column by
-column in O(dim^3).  The residual of all three constraints then decides.
+column in O(dim^3).  T x0 = x0 then holds by construction, so the
+residual of S A = A' S and C S = C decides.  The scan certifies the
+ladder only, on one rectangular block of bindings per call.
 
 Verdicts are deliberately three-valued: "equivalent" needs a small residual
 and a clearly nonsingular S, "inequivalent" needs a clearly violated
@@ -51,67 +53,61 @@ class STAInstance:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_similarity_raw(a_h, a_hp, x0, c, pair=None) -> STAInstance | list[STAInstance]:
+def _breakdown_steps(stack) -> np.ndarray:
+    """Steps Arnoldi from e_1 reaches on each upper Hessenberg A of a
+    stack: it stops after step j where |A[j+1, j]| is at or below its
+    breakdown tolerance."""
+    tol = ssm.breakdown_tolerance(stack)[:, None]
+    alive = np.abs(np.diagonal(stack, -1, axis1=1, axis2=2)) > tol
+    return 1 + np.logical_and.accumulate(alive, axis=1).sum(axis=1)
+
+
+def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
     """Krylov certificate on explicit numeric triples (no minimality check).
 
     Every A must be upper Hessenberg and x0 a nonzero multiple of e_1;
     other input is refused with ``DimensionMismatch``.  ``a_hp`` is one
     matrix, which gives one instance, or a stack of shape (k, n, n), which
     gives a list of k instances.  ``a_h`` is one matrix, the reference of
-    every candidate, or a stack of references: candidate i pairs with
-    ``a_h[pair[i]]``, and without ``pair`` the stack is matched one to one
-    with ``a_hp``.  Each pair gets its own verdict, and a pair in which
-    either Krylov space closes early is degenerate with its own
-    ``breakdown_step``.
+    every candidate, or a stack matched one to one with ``a_hp``.  Each
+    pair gets its own verdict, and a pair in which either Krylov space
+    closes early is degenerate with its own ``breakdown_step``.  S x0 = x0
+    holds by construction, so the residual is that of S A = A' S and
+    C S = C.
     """
     a_h, a_hp, x0, c = (np.asarray(x, dtype=float) for x in (a_h, a_hp, x0, c))
     stack = a_hp[None] if a_hp.ndim == 2 else a_hp
     n = stack.shape[-1]
-    refs = a_h.reshape(-1, n, n)
-    both = np.concatenate([refs, stack])
-    if np.tril(both, -2).any() or not x0[0] or x0[1:].any():
+    if (np.tril(a_h, -2).any() or np.tril(stack, -2).any()
+            or not x0[0] or x0[1:].any()):
         raise DimensionMismatch(
             "the certificate needs upper Hessenberg A and x0 on e_1")
-    if pair is None:
-        pair = range(len(stack)) if a_h.ndim == 3 else [0] * len(stack)
-    pair = np.asarray(pair, dtype=np.intp)
-    paired = refs[pair]
-    scales = np.maximum(1.0, np.linalg.norm(paired, axis=(1, 2)))
-    # Arnoldi from e_1 stops after step j where |A[j+1, j]| is at or below
-    # its tolerance; a pair is degenerate where either Krylov space closes
-    tol = ssm.breakdown_tolerance(both)[:, None]
-    alive = np.abs(np.diagonal(both, -1, axis1=1, axis2=2)) > tol
-    steps = 1 + np.logical_and.accumulate(alive, axis=1).sum(axis=1)
-    steps = np.minimum(steps[: len(refs)][pair], steps[len(refs):])
+    refs = np.broadcast_to(a_h, stack.shape)
+    scales = np.maximum(1.0, np.linalg.norm(refs, axis=(1, 2)))
+    steps = np.minimum(_breakdown_steps(refs), _breakdown_steps(stack))
     full = steps == n
-    if full.any():
-        a, ap = paired[full], stack[full]
-        t = np.zeros(ap.shape)
-        t[:, 0, 0] = 1.0
-        for j in range(n - 1):
-            t[:, :, j + 1] = ((ap @ t[:, :, j, None] - t[:, :, : j + 1]
-                               @ a[:, : j + 1, j, None])[:, :, 0]
-                              / a[:, j + 1, j, None])
-        s = np.zeros(stack.shape)
-        s[full] = t
-        residuals = np.sqrt(
-            np.sum((s @ paired - stack @ s) ** 2, axis=(1, 2))
-            + np.sum((s @ x0 - x0) ** 2, axis=1)
-            + np.sum((c @ s - c) ** 2, axis=1))
-        dets = np.linalg.det(s)
-        s_fros = np.linalg.norm(s, axis=(1, 2))
+    a, ap = refs[full], stack[full]
+    t = np.zeros(ap.shape)
+    t[:, 0, 0] = 1.0
+    for j in range(n - 1):
+        t[:, :, j + 1] = ((ap @ t[:, :, j, None] - t[:, :, : j + 1]
+                           @ a[:, : j + 1, j, None])[:, :, 0]
+                          / a[:, j + 1, j, None])
+    s = np.zeros(stack.shape)
+    s[full] = t
+    residuals = np.sqrt(np.sum((s @ refs - stack @ s) ** 2, axis=(1, 2))
+                        + np.sum((c @ s - c) ** 2, axis=1))
+    dets = np.linalg.det(s)
     out = []
-    for i, reached in enumerate(steps):
-        scale = float(scales[i])
+    for reached, scale, residual, det_s, s_i in zip(
+            steps.tolist(), scales.tolist(), residuals.tolist(), dets.tolist(), s):
         if reached < n:
             out.append(STAInstance(
-                dim=n, residual=float("inf"), affine_dim=n - int(reached),
+                dim=n, residual=float("inf"), affine_dim=n - reached,
                 s_matrix=None, det_s=0.0, verdict="degenerate",
-                diagnostics={"breakdown_step": int(reached), "scale": scale},
+                diagnostics={"breakdown_step": reached, "scale": scale},
             ))
             continue
-        residual = float(residuals[i])
-        det_s = float(dets[i])
         if residual <= EQUIV_RESIDUAL_SCALE * scale and abs(det_s) > DET_THRESHOLD:
             verdict = "equivalent"
         elif residual >= INEQUIV_RESIDUAL:
@@ -119,13 +115,9 @@ def solve_similarity_raw(a_h, a_hp, x0, c, pair=None) -> STAInstance | list[STAI
         else:
             verdict = "degenerate"
         out.append(STAInstance(
-            dim=n,
-            residual=residual,
-            affine_dim=0,
-            s_matrix=s[i] if verdict == "equivalent" else None,
-            det_s=det_s,
-            verdict=verdict,
-            diagnostics={"s_fro": float(s_fros[i]), "scale": scale},
+            dim=n, residual=residual, affine_dim=0,
+            s_matrix=s_i if verdict == "equivalent" else None,
+            det_s=det_s, verdict=verdict, diagnostics={"scale": scale},
         ))
     return out[0] if a_hp.ndim == 2 else out
 
@@ -190,8 +182,6 @@ class ScanReport:
     scheme_tag: str
     n_chain: int
     trials: list[ScanTrial]
-    identifiable_in_magnitude: bool | None
-    reason: str
 
     @property
     def all_clean(self) -> bool:
@@ -246,63 +236,59 @@ def identifiability_scan(
     seed: int = 0,
     n_perturb: int = 20,
 ) -> ScanReport:
-    """Generic identifiability-in-magnitude check for one scheme and N.
+    """Identifiability-in-magnitude check of the ladder at one N.
 
-    Ladder: every sign flip away from the known coupling must admit a
-    nonsingular S (equivalent), every magnitude perturbation must not
-    (inequivalent).  Orthogonal schemes are vacuously unidentifiable; the
-    cube scheme is decided by the symbolic route, not here.
+    Every sign flip away from the known coupling must admit a nonsingular
+    S (equivalent), every magnitude perturbation must not (inequivalent).
+    Other schemes are refused with ``DimensionMismatch``: the orthogonal
+    ones carry no output and the cube is decided by its elimination.
 
-    Each trial draws its binding, sign patterns and perturbations from its
-    own ``spawn_rng`` stream.  Every trial's bindings are then reduced as
-    one stack, each trial's reference is refereed on its own slice at odd
-    N, and one certificate call takes the trials' references and pairs
-    every candidate with its own trial's.
+    Each trial draws its binding, its sign patterns and its perturbations
+    from its own ``spawn_rng`` stream.  Every trial draws as many of each,
+    so the bindings form a (trials, 1 + patterns + n_perturb) block,
+    reduced in one stack.  At odd N each trial's reference is refereed by
+    the exact reduction, and one certificate call pairs every candidate
+    with its own trial's reference.
     """
     config = model.config
-    if config.capability == "orthogonal":
-        return ScanReport(config.scheme_tag, config.n_chain, [],
-                          identifiable_in_magnitude=False,
-                          reason="output is identically zero for this scheme")
-    if config.capability == "cube":
-        return ScanReport(config.scheme_tag, config.n_chain, [],
-                          identifiable_in_magnitude=None,
-                          reason="decided by the symbolic elimination route")
+    if config.capability != "ladder":
+        raise DimensionMismatch(
+            f"the scan certifies ladder models; {config.scheme_tag} is "
+            f"{config.capability}")
     flippable = [p for p in model.param_ids if p != "ha"]
-    drawn, bindings = [], []
+    enumerated = 2 ** len(flippable) <= MAX_SIGN_PATTERNS
+    n_flips = 2 ** len(flippable) - 1 if enumerated else MAX_SIGN_PATTERNS
+    drawn, block = [], []
     for t in range(trials):
         rng = spawn_rng(seed, "scan", config.scheme_tag, str(config.n_chain), str(t))
         binding = rational_binding(model.param_ids, rng)
-        patterns = []
-        if 2 ** len(flippable) <= MAX_SIGN_PATTERNS:
-            for r in range(1, len(flippable) + 1):
-                patterns.extend(itertools.combinations(flippable, r))
+        if enumerated:
+            patterns = [pat for r in range(1, len(flippable) + 1)
+                        for pat in itertools.combinations(flippable, r)]
         else:
             patterns = [tuple(p for p in flippable if rng.random() < 0.5)
-                        for _ in range(MAX_SIGN_PATTERNS)]
-            patterns = [p if p else (flippable[0],) for p in patterns]
+                        or (flippable[0],) for _ in range(n_flips)]
         perturbed = []
         for _ in range(n_perturb):
             pid = model.param_ids[int(rng.integers(0, len(model.param_ids)))]
             delta = Fraction(int(rng.integers(1, 9)), 16)  # 1/16 .. 1/2, >= 5%
             factor = 1 + delta if rng.random() < 0.5 else 1 / (1 + delta)
             perturbed.append({**binding, pid: binding[pid] * factor})
-        flipped = [flip_binding(binding, set(pat)) for pat in patterns]
-        drawn.append((binding, len(patterns), len(bindings)))
-        bindings += [binding, *flipped, *perturbed]
-    a, b, c = _minimal_triple(model, bindings)
-    pair, cands = [], []
-    for t, (binding, n_flips, start) in enumerate(drawn):
-        if config.n_chain % 2:
-            _referee(model, binding, a[start])
-        pair += [t] * (n_flips + n_perturb)
-        cands += range(start + 1, start + 1 + n_flips + n_perturb)
-    insts = iter(solve_similarity_raw(
-        a[[start for _, _, start in drawn]], a[cands], b, c, pair))
+        drawn.append(binding)
+        block += [binding, *(flip_binding(binding, set(pat)) for pat in patterns),
+                  *perturbed]
+    a, b, c = _minimal_triple(model, block)
+    m, width = len(b), n_flips + n_perturb
+    a = a.reshape(trials, 1 + width, m, m)
+    if config.n_chain % 2:
+        for binding, a_t in zip(drawn, a):
+            _referee(model, binding, a_t[0])
+    insts = solve_similarity_raw(np.repeat(a[:, 0], width, axis=0),
+                                 a[:, 1:].reshape(-1, m, m), b, c)
     trial_rows = []
-    for binding, n_flips, _ in drawn:
-        flips = [next(insts) for _ in range(n_flips)]
-        perturbs = [next(insts) for _ in range(n_perturb)]
+    for t, binding in enumerate(drawn):
+        flips = insts[t * width: t * width + n_flips]
+        perturbs = insts[t * width + n_flips: (t + 1) * width]
         equivalent = [i for i in flips if i.verdict == "equivalent"]
         trial_rows.append(ScanTrial(
             binding={k: float(v) for k, v in binding.items()},
@@ -316,9 +302,4 @@ def identifiability_scan(
                 [float("inf")] + [i.residual for i in perturbs]),
             witness_s=equivalent[0].s_matrix if equivalent else None,
         ))
-    report = ScanReport(config.scheme_tag, config.n_chain, trial_rows, None, "")
-    report.identifiable_in_magnitude = report.all_clean
-    report.reason = ("sign flips equivalent, magnitude perturbations "
-                     "inequivalent at every trial" if report.all_clean
-                     else "at least one trial failed its expected verdict")
-    return report
+    return ScanReport(config.scheme_tag, config.n_chain, trial_rows)

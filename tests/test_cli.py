@@ -708,6 +708,24 @@ def test_estimate_refuses_order_above_model_dimension(tmp_path, capsys, flags,
                    f"dimension {dim}; the record does not fit this scheme\n")
 
 
+@pytest.mark.parametrize("n_chain", [6, 7])
+def test_estimate_refuses_a_ladder_record_read_at_a_longer_chain(
+        tmp_path, capsys, n_chain):
+    # an N = 5 record realizes order 6, below the order 8 of N = 6 and 7;
+    # read there it gave h5 = 7.8e-07 (and h6 = 1.414 at N = 7) with exit 0
+    flags = ["--measurement", "ZaYb", "--n-chain", "5",
+             "--set", "ha=1", "--set", "hb=0.8", "--set", "h1=0.6",
+             "--set", "h2=0.7", "--set", "h3=0.8", "--set", "h4=0.9"]
+    rec_path, _, _ = _simulated_rows(tmp_path, capsys, flags, count=400)
+    code, out, err = run_cli(["estimate", "--measurement", "ZaYb",
+                              "--n-chain", str(n_chain), "--record",
+                              str(rec_path)], capsys)
+    assert code == 4 and out == ""
+    assert err == (f"numeric failure: realized order 6 differs from the "
+                   f"ladder's structural order 8 at N={n_chain}; the record "
+                   f"does not fit this scheme\n")
+
+
 def test_estimate_refuses_a_realization_that_misses_the_record(tmp_path,
                                                                capsys):
     # one bad sample opens a Hankel gap at order 6, within the model's 9

@@ -147,19 +147,25 @@ def test_orbit_members_share_even_markov_parameters():
 def test_identifiability_scan_ladder(n_chain):
     report = sta.identifiability_scan(
         ladder(n_chain), trials=2, seed=13, n_perturb=5)
-    assert report.identifiable_in_magnitude is True
+    assert report.all_clean is True
     for trial in report.trials:
         assert trial.sign_flips_equivalent == trial.sign_flips_checked
         assert trial.perturbations_inequivalent == trial.perturbations_checked
 
 
-def test_identifiability_scan_orthogonal_and_cube():
-    orth = sta.identifiability_scan(ssm.build(SensorConfig(2, 2, "YaYb", "xa")))
-    assert orth.identifiable_in_magnitude is False
-    assert "zero" in orth.reason
-    cube = sta.identifiability_scan(ssm.build(SensorConfig(2, 2, "YaZb", "xb")))
-    assert cube.identifiable_in_magnitude is None
-    assert "symbolic" in cube.reason
+@pytest.mark.parametrize("scheme, initial", [("YaYb", "xa"), ("YaZb", "xb")])
+def test_identifiability_scan_refuses_other_schemes(scheme, initial):
+    """The orthogonal schemes carry no output and the cube is decided by
+    its elimination; the scan certifies ladders only."""
+    model = ssm.build(SensorConfig(2, 2, scheme, initial))
+    with pytest.raises(DimensionMismatch, match="certifies ladder models"):
+        sta.identifiability_scan(model)
+
+
+@pytest.mark.parametrize("n_chain", [2, 3, 9])
+def test_identifiability_scan_without_trials_is_empty(n_chain):
+    report = sta.identifiability_scan(ladder(n_chain), trials=0)
+    assert report.trials == [] and report.all_clean is True
 
 
 @pytest.mark.parametrize("n_chain", [12, 16, 24, 41])
@@ -255,21 +261,14 @@ def test_stacked_certificate_breakdown_is_per_slice():
 
 
 def test_stacked_reference_breakdown_is_per_pair():
-    """With a stack of references, matched one to one or through ``pair``,
-    a reference whose Krylov space closes early leaves only its own pair
-    degenerate."""
+    """With a stack of references matched one to one, a reference whose
+    Krylov space closes early leaves only its own pair degenerate."""
     full = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
     flipped = full * np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
     closed = np.diag([1.0, 2.0, 3.0])
     x0 = np.array([1.0, 0.0, 0.0])
     same, broken, flip = sta.solve_similarity_raw(
         np.stack([full, closed, full]), np.stack([full, full, flipped]), x0, x0)
-    for got, want in zip(sta.solve_similarity_raw(
-            np.stack([full, closed]), np.stack([full, full, flipped]), x0, x0,
-            pair=[0, 1, 0]), (same, broken, flip)):
-        assert got.verdict == want.verdict
-        assert got.residual == want.residual
-        assert got.diagnostics == want.diagnostics
     assert broken.verdict == "degenerate"
     assert broken.diagnostics["breakdown_step"] == 1
     assert broken.affine_dim == 2
@@ -283,11 +282,9 @@ def test_stacked_reference_breakdown_is_per_pair():
         assert got.residual == pytest.approx(want.residual, abs=1e-14)
 
 
-@pytest.mark.parametrize("n_chain", range(2, 10))
-def test_stacked_certificates_match_one_at_a_time(n_chain):
-    """Every sign pattern of the unknown couplings and every coupling moved
-    up and down by 1/16, in one stack, against one 2-D call each."""
-    model = ladder(n_chain)
+def flip_and_bump_stack(model, n_chain):
+    """A binding, every sign pattern of its unknown couplings and every
+    coupling moved up and down by 1/16, reduced as one stack."""
     rng = spawn_rng(29, "stack", str(n_chain))
     binding = rational_binding(model.param_ids, rng)
     flippable = [p for p in model.param_ids if p != "ha"]
@@ -297,7 +294,15 @@ def test_stacked_certificates_match_one_at_a_time(n_chain):
     bumps = [dict(binding, **{pid: binding[pid] * f})
              for pid in model.param_ids
              for f in (Fraction(17, 16), Fraction(16, 17))]
-    a, b, c = sta._minimal_triple(model, [binding, *flips, *bumps])
+    return flips, bumps, sta._minimal_triple(model, [binding, *flips, *bumps])
+
+
+@pytest.mark.parametrize("n_chain", range(2, 10))
+def test_stacked_certificates_match_one_at_a_time(n_chain):
+    """The flip and perturbation stack in one call against one 2-D call
+    each."""
+    model = ladder(n_chain)
+    flips, bumps, (a, b, c) = flip_and_bump_stack(model, n_chain)
     stacked = sta.solve_similarity_raw(a[0], a[1:], b, c)
     assert len(stacked) == len(flips) + len(bumps)
     for other, a_hp, inst in zip(flips + bumps, a[1:], stacked):
@@ -316,6 +321,24 @@ def test_stacked_certificates_match_one_at_a_time(n_chain):
         assert inst.det_s == pytest.approx(one.det_s, rel=1e-12)
         if one.s_matrix is not None:
             assert np.allclose(inst.s_matrix, one.s_matrix, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_chain", range(2, 10))
+def test_broadcast_reference_is_the_repeated_stack(n_chain):
+    """One reference passed once and the same reference repeated as a
+    stack give the same instances bit for bit: the scan passes each
+    trial's reference repeated."""
+    model = ladder(n_chain)
+    _, _, (a, b, c) = flip_and_bump_stack(model, n_chain)
+    once = sta.solve_similarity_raw(a[0], a[1:], b, c)
+    repeated = sta.solve_similarity_raw(
+        np.repeat(a[:1], len(a) - 1, axis=0), a[1:], b, c)
+    for got, want in zip(once, repeated, strict=True):
+        assert got.verdict == want.verdict and got.affine_dim == want.affine_dim
+        assert got.residual == want.residual and got.det_s == want.det_s
+        assert got.diagnostics == want.diagnostics
+        assert (got.s_matrix is None and want.s_matrix is None
+                or got.s_matrix.tobytes() == want.s_matrix.tobytes())
 
 
 def serial_scan_trials(model, trials, seed, n_perturb):
@@ -365,7 +388,7 @@ def serial_scan_trials(model, trials, seed, n_perturb):
 def check_scan_against_serial(model, trials, n_perturb):
     report = sta.identifiability_scan(model, trials=trials, seed=31,
                                       n_perturb=n_perturb)
-    assert report.identifiable_in_magnitude is True
+    assert report.all_clean is True
     serial = serial_scan_trials(model, trials=trials, seed=31, n_perturb=n_perturb)
     assert len(report.trials) == len(serial) == trials
     for got, want in zip(report.trials, serial):
@@ -484,10 +507,11 @@ def test_certificate_is_the_arnoldi_certificate_to_the_last_bit(
 
     monkeypatch.setattr(sta, "solve_similarity_raw", recorded)
     sta.identifiability_scan(ladder(n_chain), seed=seed)
-    ((a_h, a_hp, x0, c, pair),) = calls
+    ((a_h, a_hp, x0, c),) = calls
     for got, (verdict, residual, det_s, s, breakdown) in zip(
-            solve(a_h, a_hp, x0, c, pair),
-            arnoldi_certificate(a_h, a_hp, x0, c, pair), strict=True):
+            solve(a_h, a_hp, x0, c),
+            arnoldi_certificate(a_h, a_hp, x0, c, range(len(a_hp))),
+            strict=True):
         assert got.verdict == verdict
         assert got.residual == residual and got.det_s == det_s
         assert got.diagnostics.get("breakdown_step") == breakdown
