@@ -38,9 +38,15 @@ def exact_observability_rank(model: StateSpaceModel, binding: RATIONAL) -> int:
 
 
 def det_cm_exact(model: StateSpaceModel, binding: RATIONAL) -> Fraction:
-    """Exact determinant of the controllability matrix [B, AB, ..., A^{n-1}B]."""
-    a, b, _ = ssm.evaluate_exact(model, binding)
-    return exact.det(exact.transpose(ssm.krylov(a, b, model.dim)))
+    """Exact determinant of the controllability matrix [B, AB, ..., A^{n-1}B].
+
+    With A = a / d and integer a, column k is a^k B / d^k, so the
+    determinant is that of the integer Krylov matrix over d^(n(n-1)/2).
+    """
+    a, d = ssm.evaluate_integer(model, binding)
+    n = model.dim
+    return (exact.det(exact.transpose(ssm.krylov(a, list(model.b), n)))
+            / d ** (n * (n - 1) // 2))
 
 
 def det_cm_closed_form(n_chain: int, binding: RATIONAL) -> Fraction:
@@ -160,12 +166,26 @@ def even_q_diagonal_closed_form(n_chain: int, binding: RATIONAL) -> tuple[Fracti
 
 @dataclass
 class SPTArtifacts:
-    """Intermediate objects of the structure-preserving reduction, exact."""
+    """Intermediate objects of the structure-preserving reduction, exact.
 
-    p_bar: list[list[Fraction]]
-    p_vec: list[Fraction]
+    The Krylov rows are kept as integers, row k being d^k c A^k; ``p_bar``
+    and ``p_vec`` are their Fraction values, formed when read.
+    """
+
+    krylov_rows: list[list[int]]
+    d: int
     a_tilde: list[list[Fraction]]
     det_p_bar: Fraction
+
+    @property
+    def p_bar(self) -> list[list[Fraction]]:
+        return [[Fraction(x, self.d ** k) for x in r[:-1]]
+                for k, r in enumerate(self.krylov_rows)]
+
+    @property
+    def p_vec(self) -> list[Fraction]:
+        return [Fraction(r[-1], self.d ** k)
+                for k, r in enumerate(self.krylov_rows)]
 
 
 @dataclass
@@ -196,31 +216,34 @@ def spt_minimal(
     if any(v == 0 for v in binding.values()):
         raise AtypicalParameters("zero coupling: reduction formulas degenerate")
     dim = model.dim
-    a, b, c = ssm.evaluate_exact(model, binding)
-    rows = ssm.krylov(exact.transpose(a), c, cfg.n_chain + 1)
+    # with A = a / d, row k of the integer rows is d^k c A^k: scaling row k
+    # by d^k multiplies det(Pbar) by d^(N(N+1)/2) and leaves Pbar^{-1} p alone
+    a, d = ssm.evaluate_integer(model, binding)
+    rows = ssm.krylov(exact.transpose(a), list(model.c), cfg.n_chain + 1)
     p_bar = [r[: dim - 1] for r in rows]
     p_vec = [r[dim - 1] for r in rows]
-    det_p_bar = exact.det(p_bar)
+    det_p_bar = exact.det(p_bar) / d ** (cfg.n_chain * (cfg.n_chain + 1) // 2)
     if det_p_bar == 0:
         raise AtypicalParameters("singular reduced row matrix at this binding")
     w = exact.solve(p_bar, p_vec)  # Pbar^{-1} p
     m = dim - 1
     # A~ = A[:m, :m] + w A[m, :m], and row m of the ladder A has one nonzero
-    a_tilde = [row[:m] for row in a[:m]]
+    zero = Fraction(0)
+    a_tilde = [[Fraction(x, d) if x else zero for x in row[:m]] for row in a[:m]]
     for j, a_mj in enumerate(a[m][:m]):
         if a_mj:
+            a_mj = Fraction(a_mj, d)
             for row, w_i in zip(a_tilde, w):
-                row[j] += w_i * a_mj
-    b_min = b[:m]
-    c_min = c[:m]
-    if b[m] != 0 or c[m] != 0:
+                if w_i:
+                    row[j] += w_i * a_mj
+    if model.b[m] != 0 or model.c[m] != 0:
         raise NumericFailure("last entries of B or C are unexpectedly nonzero")
     art = SPTArtifacts(
-        p_bar=p_bar, p_vec=p_vec, a_tilde=a_tilde, det_p_bar=det_p_bar)
+        krylov_rows=rows, d=d, a_tilde=a_tilde, det_p_bar=det_p_bar)
     minimal = MinimalRealization(
         a_min=a_tilde,
-        b_min=b_min,
-        c_min=c_min,
+        b_min=[Fraction(v) for v in model.b[:m]],
+        c_min=[Fraction(v) for v in model.c[:m]],
         diagnostics={"order": m, "unobservable_dim": 1, "method": "spt"},
     )
     return minimal, art

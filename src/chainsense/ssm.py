@@ -170,11 +170,25 @@ def evaluate(model: StateSpaceModel, binding: Binding | list[Binding]):
     return (a if isinstance(binding, list) else a[0]), b, c
 
 
-def evaluate_exact(model: StateSpaceModel, binding: dict[str, Fraction]):
-    """Fraction-exact (A, B, C) at a rational binding."""
-    a = exact.zeros(model.dim, model.dim)
+def evaluate_integer(model: StateSpaceModel, binding: dict[str, Fraction]):
+    """A at a rational binding as an integer matrix and a scale: A = a / d,
+    with d the lcm of the couplings' denominators.  Float couplings are
+    taken at their exact binary values."""
+    values = {p: Fraction(binding[p]) for p in model._entry_arrays[2]}
+    d = math.lcm(*(v.denominator for v in values.values()))
+    scaled = {p: v.numerator * (d // v.denominator) for p, v in values.items()}
+    a = [[0] * model.dim for _ in range(model.dim)]
     for e in model.a_entries:
-        a[e.row][e.col] = e.sign * Fraction(binding[e.param_id])
+        a[e.row][e.col] = e.sign * scaled[e.param_id]
+    return a, d
+
+
+def evaluate_exact(model: StateSpaceModel, binding: dict[str, Fraction]):
+    """Fraction-exact (A, B, C) at a rational binding: the Fraction view of
+    ``evaluate_integer``."""
+    a_int, d = evaluate_integer(model, binding)
+    zero = Fraction(0)
+    a = [[Fraction(x, d) if x else zero for x in row] for row in a_int]
     b = [Fraction(v) for v in model.b]
     c = [Fraction(v) for v in model.c]
     return a, b, c
@@ -227,7 +241,8 @@ def impulse_response(model: StateSpaceModel, binding: Binding, times) -> np.ndar
 
 def krylov(a, v, count: int) -> list:
     """[v, Av, ..., A^{count-1} v] for a float ndarray A or an exact matrix
-    (lists of Fractions or of ``symca`` polynomials).
+    (lists of ints, Fractions or ``symca`` polynomials).  Over an int
+    matrix and an int v every step stays int.
 
     An exact matrix is read once into each row's nonzero (column, value)
     pairs, and each step multiplies only those by the nonzero entries of
@@ -239,13 +254,14 @@ def krylov(a, v, count: int) -> list:
             out.append(a @ out[-1])
         return out
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    # the sum of no terms; a zero start would cost one more addition per entry
+    zero = 0 if all(type(x) is int for x in v) else Fraction(0)
     while len(out) < count:
         prev = out[-1]
         step = []
         for row in rows:
             terms = [x * pj for j, x in row if (pj := prev[j])]
-            # a Fraction(0) start would cost one more addition per entry
-            step.append(sum(terms[1:], terms[0]) if terms else Fraction(0))
+            step.append(sum(terms[1:], terms[0]) if terms else zero)
         out.append(step)
     return out
 

@@ -193,9 +193,9 @@ class ScanReport:
 
 
 def _minimal_triple(model: StateSpaceModel, bindings):
-    """Float (A, x0, C) of the minimal system at an exact binding.  A list
-    of k bindings gives A as a stack of shape (k, m, m); x0 and C do not
-    depend on the binding.
+    """Float (A, x0, C) of the minimal system at a float or exact binding.
+    A list of k bindings gives A as a stack of shape (k, m, m); x0 and C do
+    not depend on the binding.
 
     At odd N the ladder has one unobservable direction: the kernel z of A.
     With a_i = A[i, i+1], z_odd = 0 and z_{2j+2} = z_{2j} a_{2j} / a_{2j+1}.
@@ -262,6 +262,9 @@ def identifiability_scan(
     for t in range(trials):
         rng = spawn_rng(seed, "scan", config.scheme_tag, str(config.n_chain), str(t))
         binding = rational_binding(model.param_ids, rng)
+        # the block is float: float(-x) = -float(x), so a flip negates the
+        # converted couplings, and a perturbation converts the one it changes
+        floats = {k: float(v) for k, v in binding.items()}
         if enumerated:
             patterns = [pat for r in range(1, len(flippable) + 1)
                         for pat in itertools.combinations(flippable, r)]
@@ -273,25 +276,25 @@ def identifiability_scan(
             pid = model.param_ids[int(rng.integers(0, len(model.param_ids)))]
             delta = Fraction(int(rng.integers(1, 9)), 16)  # 1/16 .. 1/2, >= 5%
             factor = 1 + delta if rng.random() < 0.5 else 1 / (1 + delta)
-            perturbed.append({**binding, pid: binding[pid] * factor})
-        drawn.append(binding)
-        block += [binding, *(flip_binding(binding, set(pat)) for pat in patterns),
+            perturbed.append({**floats, pid: float(binding[pid] * factor)})
+        drawn.append((binding, floats))
+        block += [floats, *(flip_binding(floats, set(pat)) for pat in patterns),
                   *perturbed]
     a, b, c = _minimal_triple(model, block)
     m, width = len(b), n_flips + n_perturb
     a = a.reshape(trials, 1 + width, m, m)
     if config.n_chain % 2:
-        for binding, a_t in zip(drawn, a):
+        for (binding, _), a_t in zip(drawn, a):
             _referee(model, binding, a_t[0])
     insts = solve_similarity_raw(np.repeat(a[:, 0], width, axis=0),
                                  a[:, 1:].reshape(-1, m, m), b, c)
     trial_rows = []
-    for t, binding in enumerate(drawn):
+    for t, (_, floats) in enumerate(drawn):
         flips = insts[t * width: t * width + n_flips]
         perturbs = insts[t * width + n_flips: (t + 1) * width]
         equivalent = [i for i in flips if i.verdict == "equivalent"]
         trial_rows.append(ScanTrial(
-            binding={k: float(v) for k, v in binding.items()},
+            binding=floats,
             sign_flips_checked=n_flips,
             sign_flips_equivalent=len(equivalent),
             perturbations_checked=n_perturb,

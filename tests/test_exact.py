@@ -1,9 +1,12 @@
-"""Fraction linear algebra against numpy on random integer matrices."""
+"""Exact linear algebra against numpy, elimination-free referees and the
+Fraction elimination it replaced."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsense import exact
 from chainsense.errors import AtypicalParameters
@@ -250,3 +253,189 @@ def test_solve_general_refuses_inconsistent_rectangular_systems(pattern):
         # a repeated row with another right-hand side cannot hold
         assert exact.solve_general(m + [m[0][:]], b + [b[0] + 1]) is None
         assert exact.solve_general(m + [m[0][:]], b + [b[0]]) is not None
+
+
+# -- integer entries and the Fraction referee ------------------------------------
+
+
+def test_integer_matrices_stay_exact():
+    d = exact.det([[1, 2], [3, 4]])
+    assert d == -2 and type(d) is Fraction
+    # the two rows differ by (1, 0): a float ratio would make them equal
+    m = [[10**20 + 1, 1], [10**20, 1]]
+    assert exact.det(m) == 1
+    assert exact.rank(m) == 2
+    assert exact.solve(m, [1, 0]) == [1, -10**20]
+    assert exact.nullspace(m) == []
+    assert exact.inverse(m) == [[1, -1], [-10**20, 10**20 + 1]]
+    assert all(type(x) is Fraction for row in exact.inverse(m) for x in row)
+
+
+def _ref_eliminate(a, cols):
+    """The Fraction elimination the fraction-free one replaced, kept as its
+    referee: the same pivot rule, one Fraction operation per entry."""
+    pivots, sign, rows = [], 1, len(a)
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        p = a[r][col]
+        nonzero = [(c, v) for c, v in enumerate(a[r][col + 1:], col + 1) if v]
+        for i in range(r + 1, rows):
+            row = a[i]
+            if row[col]:
+                factor = row[col] / p
+                for c, v in nonzero:
+                    row[c] -= factor * v
+        pivots.append(col)
+    return pivots, sign
+
+
+def _ref_back_substitute(a, pivots, rhs, x):
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        acc = rhs[i]
+        for j in range(c + 1, len(x)):
+            if a[i][j] and x[j]:
+                acc -= a[i][j] * x[j]
+        x[c] = acc / a[i][c]
+    return x
+
+
+def _fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def _ref_det(m):
+    a = _fractions(m)
+    pivots, sign = _ref_eliminate(a, len(a))
+    if len(pivots) < len(a):
+        return Fraction(0)
+    result = Fraction(sign)
+    for i, row in enumerate(a):
+        result *= row[i]
+    return result
+
+
+def _ref_rank(m):
+    return len(_ref_eliminate(_fractions(m), len(m[0]))[0])
+
+
+def _ref_solve_columns(m, columns):
+    """Solutions of m x = column for each column, None if m is singular."""
+    n = len(m)
+    a = [row + list(extra) for row, extra in
+         zip(_fractions(m), zip(*_fractions(columns)))]
+    pivots, _ = _ref_eliminate(a, n)
+    if len(pivots) < n:
+        return None
+    return [_ref_back_substitute(a, pivots, [row[n + k] for row in a],
+                                 [Fraction(0)] * n)
+            for k in range(len(columns))]
+
+
+def _ref_nullspace(m):
+    cols = len(m[0])
+    a = _fractions(m)
+    pivots, _ = _ref_eliminate(a, cols)
+    zero = [Fraction(0)] * len(pivots)
+    return [_ref_back_substitute(a, pivots, zero,
+                                 [Fraction(int(c == f)) for c in range(cols)])
+            for f in range(cols) if f not in pivots]
+
+
+def _ref_solve_general(m, b):
+    cols = len(m[0])
+    a = [row + [bv] for row, bv in zip(_fractions(m), _fractions([b])[0])]
+    pivots, _ = _ref_eliminate(a, cols + 1)
+    if cols in pivots:
+        return None
+    particular = _ref_back_substitute(a, pivots, [row[cols] for row in a],
+                                      [Fraction(0)] * cols)
+    return particular, _ref_nullspace(m)
+
+
+def _check_against_referee(m, b):
+    """Every routine returns the referee's values, as Fractions, and leaves
+    its inputs alone."""
+    before = _copy(m), b[:]
+    rows, cols = len(m), len(m[0])
+    assert exact.rank(m) == _ref_rank(m)
+    basis = exact.nullspace(m)
+    assert basis == _ref_nullspace(m)
+    assert exact.solve_general(m, b) == _ref_solve_general(m, b)
+    results = [basis]
+    if rows == cols:
+        d = exact.det(m)
+        assert d == _ref_det(m) and type(d) is Fraction
+        solved = _ref_solve_columns(m, [b] + _identity(rows))
+        if solved is None:
+            with pytest.raises(AtypicalParameters):
+                exact.solve(m, b)
+            with pytest.raises(AtypicalParameters):
+                exact.inverse(m)
+        else:
+            x, inv = exact.solve(m, b), exact.inverse(m)
+            assert x == solved[0]
+            assert inv == exact.transpose(solved[1:])
+            results += [[x], inv]
+    assert all(type(v) is Fraction for r in results for row in r for v in row)
+    assert (m, b) == before
+
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 97)),
+)
+
+
+@st.composite
+def mixed_systems(draw):
+    """A matrix with int and Fraction entries, square or rectangular, and a
+    right-hand side.  Some rows are combinations of earlier ones and some
+    columns of earlier columns, so ranks fall short and columns go without
+    a pivot."""
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 7)))
+    m = [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.integers(0, 3)) == 0:
+            f, g = draw(ENTRY), draw(ENTRY)
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            m[i] = [f * x + g * y for x, y in zip(m[j], m[k])]
+    for c in range(1, cols):
+        if draw(st.integers(0, 3)) == 0:
+            f, j = draw(ENTRY), draw(st.integers(0, c - 1))
+            for row in m:
+                row[c] = f * row[j]
+    b = [draw(ENTRY) for _ in range(rows)]
+    return m, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_systems())
+def test_elimination_matches_the_fraction_referee(system):
+    _check_against_referee(*system)
+
+
+def test_dense_elimination_matches_the_fraction_referee():
+    # 30 x 30 with denominators up to 97: entries of a dense elimination
+    # grow with every step, so the content division is what bounds them
+    rng = np.random.default_rng(10)
+
+    def entry():
+        num = int(rng.integers(-40, 41))
+        return num if rng.random() < 0.3 else Fraction(num, int(rng.integers(1, 98)))
+
+    m = [[entry() for _ in range(30)] for _ in range(30)]
+    b = [entry() for _ in range(30)]
+    assert exact.det(m) != 0
+    _check_against_referee(m, b)
+    m[29] = [x - 2 * y for x, y in zip(m[3], m[17])]
+    assert exact.det(m) == 0
+    _check_against_referee(m, b)

@@ -358,3 +358,44 @@ def test_kalman_and_spt_agree_on_markov():
         minimal_kal.a_min, minimal_kal.b_min, minimal_kal.c_min, count)
     scale = np.max(np.abs(spt_markov))
     assert np.max(np.abs(spt_markov - kal_markov)) < 1e-8 * max(scale, 1.0)
+
+
+# -- referees at denominators other than 16 ---------------------------------
+
+
+def mixed_binding(param_ids, rng):
+    """Couplings on denominators 1, 3, 7 and 16 and float values such as 0.1
+    (exact binary fractions on 2^-55 and beyond), with random signs: the
+    scale of the integer evaluation is then an lcm of unlike denominators,
+    so a wrong power of it shows."""
+    kinds = [
+        lambda: Fraction(int(rng.integers(1, 4))),
+        lambda: Fraction(int(rng.integers(1, 7)), 3),
+        lambda: Fraction(int(rng.integers(2, 15)), 7),
+        lambda: Fraction(int(rng.integers(4, 33)), 16),
+        lambda: float(rng.choice([0.1, 0.3, 0.7, 1.1, 1.9])),
+    ]
+    order = rng.permutation(max(len(kinds), len(param_ids))) % len(kinds)
+    return {pid: (-1) ** int(rng.integers(0, 2)) * kinds[k]()
+            for pid, k in zip(param_ids, order)}
+
+
+@pytest.mark.parametrize("n_chain", range(1, 16))
+def test_ladder_referees_at_mixed_denominators(n_chain):
+    model = ladder(n_chain)
+    rng = spawn_rng(41, "mixed", str(n_chain))
+    for _ in range(3):
+        binding = mixed_binding(model.param_ids, rng)
+        before = dict(binding)
+        assert realization.det_cm_exact(model, binding) == (
+            realization.det_cm_closed_form(n_chain, binding))
+        if n_chain % 2:
+            _, art = realization.spt_minimal(model, binding)
+            assert art.det_p_bar == realization.det_p_bar_closed_form(
+                n_chain, binding)
+            if n_chain >= 3:
+                m = model.dim - 1
+                assert [art.a_tilde[i][m - 1] for i in range(m)] == (
+                    realization.a_tilde_last_column_closed_form(n_chain, binding))
+        assert binding == before
+        assert all(type(binding[p]) is type(before[p]) for p in before)
