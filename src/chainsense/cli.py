@@ -349,9 +349,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         expected_deficiency = 0 if run.n_chain % 2 == 0 else 1
         det_cm = realization.det_cm_exact(model, probe)
         det_closed = realization.det_cm_closed_form(run.n_chain, probe)
-        scan = sta.identifiability_scan(
-            model, trials=2, seed=run.seed, n_perturb=8
-        )
+        scan = sta.identifiability_scan(model, seed=run.seed)
         verdicts["identifiability"] = "identifiable-in-magnitude"
         verdicts["reason"] = (
             "sign flips of the unknown couplings are output-equivalent; "

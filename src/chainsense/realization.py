@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact, ssm
 from .errors import AtypicalParameters, DimensionMismatch, NumericFailure
 from .ssm import StateSpaceModel
@@ -25,14 +23,8 @@ RATIONAL = dict[str, Fraction]
 
 # -- exact tier -------------------------------------------------------------
 
-EXACT_RANK_DIM = 12
-
 
 def exact_observability_rank(model: StateSpaceModel, binding: RATIONAL) -> int:
-    if model.dim > EXACT_RANK_DIM:
-        raise DimensionMismatch(
-            f"exact rank limited to dim <= {EXACT_RANK_DIM}, got {model.dim}"
-        )
     a, _, c = ssm.evaluate_exact(model, binding)
     return exact.rank(ssm.krylov(exact.transpose(a), c, model.dim))
 
@@ -80,8 +72,6 @@ class PBHResult:
 
 def pbh_test_exact(model: StateSpaceModel, binding: RATIONAL, lam: Fraction) -> PBHResult:
     """Exact column rank of [A - lam I; C] stacked."""
-    if model.dim > EXACT_RANK_DIM:
-        raise DimensionMismatch("exact PBH limited to small models")
     a, _, c = ssm.evaluate_exact(model, binding)
     rows = [[a[i][j] - (lam if i == j else 0) for j in range(model.dim)]
             for i in range(model.dim)]
@@ -220,12 +210,15 @@ def spt_minimal(
     # by d^k multiplies det(Pbar) by d^(N(N+1)/2) and leaves Pbar^{-1} p alone
     a, d = ssm.evaluate_integer(model, binding)
     rows = ssm.krylov(exact.transpose(a), list(model.c), cfg.n_chain + 1)
-    p_bar = [r[: dim - 1] for r in rows]
-    p_vec = [r[dim - 1] for r in rows]
-    det_p_bar = exact.det(p_bar) / d ** (cfg.n_chain * (cfg.n_chain + 1) // 2)
+    # Pbar is lower Hessenberg, so J Pbar J (rows and columns reversed) is
+    # upper Hessenberg, with one row below each pivot to eliminate; it has
+    # Pbar's determinant, and Pbar^{-1} p = J (J Pbar J)^{-1} J p
+    rev = rows[::-1]
+    p_rev = [r[dim - 2::-1] for r in rev]
+    det_p_bar = exact.det(p_rev) / d ** (cfg.n_chain * (cfg.n_chain + 1) // 2)
     if det_p_bar == 0:
         raise AtypicalParameters("singular reduced row matrix at this binding")
-    w = exact.solve(p_bar, p_vec)  # Pbar^{-1} p
+    w = exact.solve(p_rev, [r[dim - 1] for r in rev])[::-1]
     m = dim - 1
     # A~ = A[:m, :m] + w A[m, :m], and row m of the ladder A has one nonzero
     zero = Fraction(0)
@@ -244,7 +237,7 @@ def spt_minimal(
         a_min=a_tilde,
         b_min=[Fraction(v) for v in model.b[:m]],
         c_min=[Fraction(v) for v in model.c[:m]],
-        diagnostics={"order": m, "unobservable_dim": 1, "method": "spt"},
+        diagnostics={"order": m},
     )
     return minimal, art
 
@@ -357,23 +350,9 @@ def kalman_minimal(model: StateSpaceModel, binding) -> MinimalRealization:
     c1 = c @ vc
     vo, ho = ssm.arnoldi(a1.T, c1, rc)
     ro = vo.shape[1]
-    a2 = ho.T
-    b2 = vo.T @ b1
-    c2 = c1 @ vo
-    probe = min(2 * a.shape[0], 64)
-    full = ssm.markov(a, b, c, probe)
-    red = ssm.markov(a2, b2, c2, probe)
-    scale = max(1.0, float(np.max(np.abs(full))))
-    residual = float(np.max(np.abs(full - red))) / scale
     return MinimalRealization(
-        a_min=a2,
-        b_min=b2,
-        c_min=c2,
-        diagnostics={
-            "order": ro,
-            "controllable_rank": rc,
-            "observable_rank": ro,
-            "markov_residual": residual,
-            "method": "kalman",
-        },
+        a_min=ho.T,
+        b_min=vo.T @ b1,
+        c_min=c1 @ vo,
+        diagnostics={"order": ro, "controllable_rank": rc, "observable_rank": ro},
     )

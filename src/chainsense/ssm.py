@@ -240,19 +240,15 @@ def impulse_response(model: StateSpaceModel, binding: Binding, times) -> np.ndar
 
 
 def krylov(a, v, count: int) -> list:
-    """[v, Av, ..., A^{count-1} v] for a float ndarray A or an exact matrix
-    (lists of ints, Fractions or ``symca`` polynomials).  Over an int
-    matrix and an int v every step stays int.
+    """[v, Av, ..., A^{count-1} v] for an exact matrix (lists of ints,
+    Fractions or ``symca`` polynomials).  Over an int matrix and an int v
+    every step stays int.
 
-    An exact matrix is read once into each row's nonzero (column, value)
-    pairs, and each step multiplies only those by the nonzero entries of
-    the previous vector: a ladder step costs O(nnz) rather than O(dim^2).
+    The matrix is read once into each row's nonzero (column, value) pairs,
+    and each step multiplies only those by the nonzero entries of the
+    previous vector: a ladder step costs O(nnz) rather than O(dim^2).
     """
     out = [v][:count]
-    if isinstance(a, np.ndarray):
-        while len(out) < count:
-            out.append(a @ out[-1])
-        return out
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     # the sum of no terms; a zero start would cost one more addition per entry
     zero = 0 if all(type(x) is int for x in v) else Fraction(0)
@@ -311,11 +307,7 @@ def arnoldi(a: np.ndarray, v: np.ndarray, count: int):
     return q, np.triu(q.T @ a @ q, -1)
 
 
-def markov(a, b, c, count: int):
-    """Markov parameters [CB, CAB, ..., CA^{count-1}B]: a float array for an
-    ndarray A, a list of exact entries for an exact matrix.  A parameter
+def markov(a, b, c, count: int) -> list:
+    """Exact Markov parameters [CB, CAB, ..., CA^{count-1}B].  A parameter
     whose sum has no nonzero term is Fraction(0), also over polynomials."""
-    vectors = krylov(a, b, count)
-    if isinstance(a, np.ndarray):
-        return np.array([float(c @ v) for v in vectors])
-    return [exact.matvec([c], v)[0] for v in vectors]
+    return [exact.matvec([c], v)[0] for v in krylov(a, b, count)]

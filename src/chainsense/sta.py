@@ -38,6 +38,9 @@ REFEREE_TOLERANCE = 1e-9
 #: sign patterns checked per scan trial; more flippable couplings than
 #: log2 of this are sampled instead of enumerated
 MAX_SIGN_PATTERNS = 8
+#: bindings drawn per scan, and magnitude perturbations checked per binding
+SCAN_TRIALS = 2
+SCAN_PERTURBATIONS = 8
 
 
 @dataclass
@@ -62,27 +65,29 @@ def _breakdown_steps(stack) -> np.ndarray:
     return 1 + np.logical_and.accumulate(alive, axis=1).sum(axis=1)
 
 
-def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
+def solve_similarity_raw(a_h, a_hp, x0, c) -> list[STAInstance]:
     """Krylov certificate on explicit numeric triples (no minimality check).
 
-    Every A must be upper Hessenberg and x0 a nonzero multiple of e_1;
-    other input is refused with ``DimensionMismatch``.  ``a_hp`` is one
-    matrix, which gives one instance, or a stack of shape (k, n, n), which
-    gives a list of k instances.  ``a_h`` is one matrix, the reference of
-    every candidate, or a stack matched one to one with ``a_hp``.  Each
-    pair gets its own verdict, and a pair in which either Krylov space
-    closes early is degenerate with its own ``breakdown_step``.  S x0 = x0
-    holds by construction, so the residual is that of S A = A' S and
-    C S = C.
+    ``a_h`` and ``a_hp`` are two stacks of shape (k, n, n), matched one to
+    one, and x0 and C have length n; the result is a list of k instances.
+    Every A must be upper Hessenberg and x0 a nonzero multiple of e_1.
+    Other input is refused with ``DimensionMismatch``.  Each pair gets its
+    own verdict, and a pair in which either Krylov space closes early is
+    degenerate with its own ``breakdown_step``.  S x0 = x0 holds by
+    construction, so the residual is that of S A = A' S and C S = C.
     """
-    a_h, a_hp, x0, c = (np.asarray(x, dtype=float) for x in (a_h, a_hp, x0, c))
-    stack = a_hp[None] if a_hp.ndim == 2 else a_hp
-    n = stack.shape[-1]
-    if (np.tril(a_h, -2).any() or np.tril(stack, -2).any()
+    refs, stack, x0, c = (np.asarray(x, dtype=float) for x in (a_h, a_hp, x0, c))
+    if (refs.ndim != 3 or stack.shape != refs.shape
+            or refs.shape[1] != refs.shape[2]
+            or x0.shape != refs.shape[2:] or c.shape != refs.shape[2:]):
+        raise DimensionMismatch(
+            f"the certificate pairs two (k, n, n) stacks with x0 and C of "
+            f"length n; got {refs.shape}, {stack.shape}, {x0.shape}, {c.shape}")
+    n = refs.shape[2]
+    if (np.tril(refs, -2).any() or np.tril(stack, -2).any()
             or not x0[0] or x0[1:].any()):
         raise DimensionMismatch(
             "the certificate needs upper Hessenberg A and x0 on e_1")
-    refs = np.broadcast_to(a_h, stack.shape)
     scales = np.maximum(1.0, np.linalg.norm(refs, axis=(1, 2)))
     steps = np.minimum(_breakdown_steps(refs), _breakdown_steps(stack))
     full = steps == n
@@ -119,7 +124,7 @@ def solve_similarity_raw(a_h, a_hp, x0, c) -> STAInstance | list[STAInstance]:
             s_matrix=s_i if verdict == "equivalent" else None,
             det_s=det_s, verdict=verdict, diagnostics={"scale": scale},
         ))
-    return out[0] if a_hp.ndim == 2 else out
+    return out
 
 
 def solve_similarity_exact(a_h, a_hp, x0, c) -> STAInstance:
@@ -192,10 +197,10 @@ class ScanReport:
         )
 
 
-def _minimal_triple(model: StateSpaceModel, bindings):
-    """Float (A, x0, C) of the minimal system at a float or exact binding.
-    A list of k bindings gives A as a stack of shape (k, m, m); x0 and C do
-    not depend on the binding.
+def _minimal_triple(model: StateSpaceModel, bindings: list):
+    """Float (A, x0, C) of the minimal system at a list of k float or exact
+    bindings: A is a stack of shape (k, m, m); x0 and C do not depend on
+    the binding.
 
     At odd N the ladder has one unobservable direction: the kernel z of A.
     With a_i = A[i, i+1], z_odd = 0 and z_{2j+2} = z_{2j} a_{2j} / a_{2j+1}.
@@ -204,8 +209,7 @@ def _minimal_triple(model: StateSpaceModel, bindings):
     one nonzero, into column m-1: the float form of
     ``realization.a_tilde_last_column_closed_form``.
     """
-    stack = isinstance(bindings, list)
-    a, b, c = ssm.evaluate(model, bindings if stack else [bindings])
+    a, b, c = ssm.evaluate(model, bindings)
     if model.config.n_chain % 2:
         m = model.dim - 1
         sup = np.diagonal(a, 1, axis1=1, axis2=2)
@@ -215,7 +219,7 @@ def _minimal_triple(model: StateSpaceModel, bindings):
         w = -z[:, :m] / z[:, m, None]
         a[:, :m, m - 1] += w * a[:, m, m - 1, None]
         a, b, c = a[:, :m, :m].copy(), b[:m], c[:m]
-    return (a if stack else a[0]), b, c
+    return a, b, c
 
 
 def _referee(model: StateSpaceModel, binding: dict[str, Fraction], a_min) -> None:
@@ -230,12 +234,7 @@ def _referee(model: StateSpaceModel, binding: dict[str, Fraction], a_min) -> Non
         )
 
 
-def identifiability_scan(
-    model: StateSpaceModel,
-    trials: int = 5,
-    seed: int = 0,
-    n_perturb: int = 20,
-) -> ScanReport:
+def identifiability_scan(model: StateSpaceModel, seed: int = 0) -> ScanReport:
     """Identifiability-in-magnitude check of the ladder at one N.
 
     Every sign flip away from the known coupling must admit a nonsingular
@@ -243,12 +242,13 @@ def identifiability_scan(
     Other schemes are refused with ``DimensionMismatch``: the orthogonal
     ones carry no output and the cube is decided by its elimination.
 
-    Each trial draws its binding, its sign patterns and its perturbations
-    from its own ``spawn_rng`` stream.  Every trial draws as many of each,
-    so the bindings form a (trials, 1 + patterns + n_perturb) block,
-    reduced in one stack.  At odd N each trial's reference is refereed by
-    the exact reduction, and one certificate call pairs every candidate
-    with its own trial's reference.
+    Each of the ``SCAN_TRIALS`` trials draws its binding, its sign patterns
+    and its ``SCAN_PERTURBATIONS`` perturbations from its own ``spawn_rng``
+    stream.  Every trial draws as many of each, so the bindings form a
+    (trials, 1 + patterns + perturbations) block, reduced in one stack.
+    At odd N each trial's reference is refereed by the exact reduction,
+    and one certificate call pairs every candidate with its own trial's
+    reference.
     """
     config = model.config
     if config.capability != "ladder":
@@ -258,6 +258,7 @@ def identifiability_scan(
     flippable = [p for p in model.param_ids if p != "ha"]
     enumerated = 2 ** len(flippable) <= MAX_SIGN_PATTERNS
     n_flips = 2 ** len(flippable) - 1 if enumerated else MAX_SIGN_PATTERNS
+    trials, n_perturb = SCAN_TRIALS, SCAN_PERTURBATIONS
     drawn, block = [], []
     for t in range(trials):
         rng = spawn_rng(seed, "scan", config.scheme_tag, str(config.n_chain), str(t))

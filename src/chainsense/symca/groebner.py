@@ -77,8 +77,9 @@ class GroebnerBasis:
     pair_count: int
 
 
-def buchberger(gens: list[MPoly], pair_budget: int = PAIR_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
+def buchberger(gens: list[MPoly]) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens``, refused
+    with ``BudgetExceeded`` after ``PAIR_BUDGET`` pairs."""
     gens = [g for g in gens if g]
     if not gens:
         raise DimensionMismatch("no nonzero generators")
@@ -96,9 +97,9 @@ def buchberger(gens: list[MPoly], pair_budget: int = PAIR_BUDGET) -> GroebnerBas
         )
         pairs.discard((i, j))
         processed += 1
-        if processed > pair_budget:
+        if processed > PAIR_BUDGET:
             raise BudgetExceeded(
-                f"Buchberger pair budget {pair_budget} exceeded"
+                f"Buchberger pair budget {PAIR_BUDGET} exceeded"
             )
         fe = basis[i].leading()[0]
         ge = basis[j].leading()[0]

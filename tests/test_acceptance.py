@@ -188,7 +188,7 @@ def test_criterion_06_sign_flip_similarity():
             for pat in patterns:
                 flipped = flip_binding(binding, set(pat))
                 a_hp, _, _ = _minimal_triple_float(model, flipped)
-                inst = solve_similarity_raw(a_h, a_hp, b, c)
+                (inst,) = solve_similarity_raw(a_h[None], a_hp[None], b, c)
                 flips += 1
                 if inst.verdict != "equivalent":
                     diag_bad += 1
@@ -208,7 +208,7 @@ def test_criterion_06_sign_flip_similarity():
                 perturbed = dict(binding)
                 perturbed[pid] = binding[pid] * factor
                 a_hp, _, _ = _minimal_triple_float(model, perturbed)
-                inst = solve_similarity_raw(a_h, a_hp, b, c)
+                (inst,) = solve_similarity_raw(a_h[None], a_hp[None], b, c)
                 perturbs += 1
                 if inst.verdict == "equivalent":
                     diag_bad += 1
@@ -290,7 +290,8 @@ def test_criterion_08_cube_minimal_fingerprints():
         worst_rel = max(worst_rel, rel)
         if rel > 1e-8:
             bad.append((trial, "s10-coeff", rel))
-        markov = ssm.markov(minimal.a_min, minimal.b_min, minimal.c_min, 2)
+        markov = [float(minimal.c_min @ minimal.b_min),
+                  float(minimal.c_min @ minimal.a_min @ minimal.b_min)]
         if abs(markov[0]) > 1e-10:
             bad.append((trial, "markov0", markov[0]))
         if abs(abs(markov[1]) - abs(binding["ha"])) > 1e-8:

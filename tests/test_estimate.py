@@ -31,6 +31,7 @@ from chainsense.errors import (
 from chainsense.pauli import HamiltonianSpec, from_letters
 from chainsense.prng import random_binding, spawn_rng
 from chainsense.symca import cube_equations, solve_identifiability
+from test_ssm import float_markov
 
 
 def ladder_cfg(n):
@@ -471,7 +472,7 @@ def test_era_markov_consistency():
     binding = {"ha": 1.1, "hb": -0.7, "h1": 1.3}
     rec = make_record(cfg, binding, 60)
     real = estimate.era(rec)
-    realized = ssm.markov(real.a_hat, real.b_hat, real.c_hat, 2 * real.order)
+    realized = float_markov(real.a_hat, real.b_hat, real.c_hat, 2 * real.order)
     assert np.max(np.abs(realized - rec.values[: 2 * real.order])) < 1e-8
 
 
@@ -546,8 +547,8 @@ def test_era_logarithm_matches_scipy_logm(cfg, sigma):
             assert max(np.max(np.min(gaps, axis=0)),
                        np.max(np.min(gaps, axis=1))) <= 1e-13 * scale
             markov = estimate._realized_markov(real, count)
-            referee = ssm.markov(np.real(log_a) / record.dt, real.b_hat,
-                                 real.c_hat, count)
+            referee = float_markov(np.real(log_a) / record.dt, real.b_hat,
+                                   real.c_hat, count)
             terms = real.residues[:, None] * np.vander(
                 real.poles, count, increasing=True)
             assert np.all(np.abs(markov - referee)

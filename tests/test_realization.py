@@ -14,6 +14,7 @@ from chainsense import exact, realization, ssm
 from chainsense.accessible import CATALOG, SensorConfig, generate
 from chainsense.errors import AtypicalParameters, DimensionMismatch
 from chainsense.prng import random_binding, rational_binding, spawn_rng
+from test_ssm import float_markov
 
 # a 0/0 or overflow inside a float rank decision is a bug, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -93,11 +94,25 @@ def test_observability_rank_parity(n_chain, expect_deficiency):
 
 @pytest.mark.parametrize("n_chain", [20, 21, 33, 40])
 def test_observability_rank_parity_on_long_ladders(n_chain):
-    # beyond EXACT_RANK_DIM; raw-power SVD ranks came out short here
+    # raw-power SVD ranks came out short here
     model = ladder(n_chain)
-    binding = random_binding(model.param_ids, spawn_rng(3, "long", str(n_chain)))
+    rng = spawn_rng(3, "long", str(n_chain))
+    binding = random_binding(model.param_ids, rng)
     rank = observable_width(model, binding)
     assert rank == model.dim - n_chain % 2
+    exact_rank = realization.exact_observability_rank(
+        model, rational_binding(model.param_ids, rng))
+    assert exact_rank == model.dim - n_chain % 2
+
+
+@pytest.mark.parametrize("n_chain, rank", [(1, 5), (2, 12), (3, 21), (4, 38)])
+def test_cube_exact_observability_ranks(n_chain, rank):
+    """The cube's exact observability rank at one rational probe per N, up
+    to dim 90.  The float Kalman widths are not asserted: from N = 4 they
+    read the full dimension at this probe."""
+    model = cube(n_chain)
+    binding = rational_binding(model.param_ids, spawn_rng(3, "rk", str(n_chain)))
+    assert realization.exact_observability_rank(model, binding) == rank
 
 
 @pytest.mark.parametrize("n_chain", [1, 2, 3])
@@ -115,20 +130,24 @@ def _assert_arnoldi_ranks_are_exact(model, binding):
     assert ctrl == exact.rank(ssm.krylov(a, b, model.dim))
 
 
-def _catalog_configs_up_to_exact_rank_dim():
+#: largest model dimension of the catalog-wide rank comparison
+CATALOG_RANK_DIM = 12
+
+
+def _catalog_configs_up_to_rank_dim():
     for (label, sensor), initials in CATALOG.items():
         for initial in initials:
             n_chain = 1
             while True:
                 config = SensorConfig(n_chain, sensor, label, initial)
-                if len(generate(config)) > realization.EXACT_RANK_DIM:
+                if len(generate(config)) > CATALOG_RANK_DIM:
                     break
                 yield config
                 n_chain += 1
 
 
 @pytest.mark.parametrize(
-    "config", list(_catalog_configs_up_to_exact_rank_dim()),
+    "config", list(_catalog_configs_up_to_rank_dim()),
     ids=lambda c: f"{c.scheme_tag}-{c.initial_label}-N{c.n_chain}")
 def test_catalog_krylov_ranks_match_exact_rank(config):
     model = ssm.build(config)
@@ -280,13 +299,23 @@ def test_spt_rejects_wrong_scheme_and_zero():
 # -- Kalman reduction -------------------------------------------------------
 
 
+def kalman_markov_residual(model, binding, real):
+    """Largest gap between the float Markov parameters of the model and of
+    its Kalman reduction over min(2 dim, 64) of them, relative to the
+    largest (at least 1)."""
+    count = min(2 * model.dim, 64)
+    full = float_markov(*ssm.evaluate(model, binding), count)
+    red = float_markov(real.a_min, real.b_min, real.c_min, count)
+    return float(np.max(np.abs(full - red))) / max(1.0, float(np.max(np.abs(full))))
+
+
 def test_kalman_cube_n2_minimal_order_12():
     model = cube(2)
     rng = spawn_rng(37, "kalman-cube")
     binding = random_binding(model.param_ids, rng)
     real = realization.kalman_minimal(model, binding)
     assert real.order == 12
-    assert real.diagnostics["markov_residual"] < 1e-8
+    assert kalman_markov_residual(model, binding, real) < 1e-8
 
 
 @pytest.mark.parametrize("n_chain,order", [
@@ -297,7 +326,7 @@ def test_kalman_ladder_orders(n_chain, order):
     binding = random_binding(model.param_ids, rng)
     real = realization.kalman_minimal(model, binding)
     assert real.order == order
-    assert real.diagnostics["markov_residual"] < 1e-8
+    assert kalman_markov_residual(model, binding, real) < 1e-8
 
 
 @pytest.mark.parametrize("build,n_chain", [
@@ -310,7 +339,7 @@ def test_kalman_order_is_exact_hankel_rank(build, n_chain):
         model.param_ids, spawn_rng(47, "kalman-hankel", str(n_chain)))
     real = realization.kalman_minimal(model, binding)
     assert real.order == exact_hankel_rank(model, binding)
-    assert real.diagnostics["markov_residual"] < 1e-8
+    assert kalman_markov_residual(model, binding, real) < 1e-8
 
 
 def exact_hankel_rank(model, binding):
@@ -340,7 +369,7 @@ def test_ladder_orders_past_62_qubits(n_chain):
     rank = observable_width(model, binding)
     real = realization.kalman_minimal(model, binding)
     assert rank == real.order == model.dim - n_chain % 2
-    assert real.diagnostics["markov_residual"] < 1e-8
+    assert kalman_markov_residual(model, binding, real) < 1e-8
 
 
 def test_kalman_and_spt_agree_on_markov():
@@ -354,7 +383,7 @@ def test_kalman_and_spt_agree_on_markov():
     spt_markov = np.array(
         [float(v) for v in ssm.markov(
             minimal_spt.a_min, minimal_spt.b_min, minimal_spt.c_min, count)])
-    kal_markov = ssm.markov(
+    kal_markov = float_markov(
         minimal_kal.a_min, minimal_kal.b_min, minimal_kal.c_min, count)
     scale = np.max(np.abs(spt_markov))
     assert np.max(np.abs(spt_markov - kal_markov)) < 1e-8 * max(scale, 1.0)

@@ -391,12 +391,26 @@ def test_impulse_at_time_zero_is_cb():
     assert y0 == pytest.approx(float(np.dot(model.c, model.b)), abs=1e-12)
 
 
+def float_krylov(a, v, count):
+    """[v, Av, ..., A^{count-1} v] by numpy products; ``ssm.krylov`` walks
+    exact matrices only."""
+    out = [v][:count]
+    while len(out) < count:
+        out.append(a @ out[-1])
+    return out
+
+
+def float_markov(a, b, c, count):
+    """Float Markov parameters [CB, CAB, ..., CA^{count-1}B]."""
+    return np.array([float(c @ v) for v in float_krylov(a, b, count)])
+
+
 def test_markov_parameters_match_series():
     cfg = SensorConfig(3, 2, "ZaYb", "xa")
     model = ssm.build(cfg)
     rng = spawn_rng(23, "markov")
     binding = random_binding(model.param_ids, rng)
-    mk = ssm.markov(*ssm.evaluate(model, binding), 8)
+    mk = float_markov(*ssm.evaluate(model, binding), 8)
     # first two by hand: CB = 0, CAB = -ha (row 2, col 1 of A)
     assert mk[0] == 0.0
     assert mk[1] == pytest.approx(-binding["ha"], abs=1e-12)
@@ -416,7 +430,7 @@ def test_arnoldi_basis_spans_the_krylov_space():
     assert np.allclose(q.T @ q, np.eye(4), atol=1e-14)
     assert np.allclose(h, q.T @ a @ q, atol=1e-13)
     assert not np.tril(h, -2).any()
-    krylov = np.column_stack(ssm.krylov(a, b, 4))
+    krylov = np.column_stack(float_krylov(a, b, 4))
     assert np.allclose(q @ (q.T @ krylov), krylov, atol=1e-12 * np.abs(krylov).max())
 
 

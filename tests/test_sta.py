@@ -35,10 +35,12 @@ def expected_diag_witness(model, flipped_params):
 
 
 def certificate(model, binding, binding_prime):
-    """Float certificate between two bindings of a minimal model."""
-    a_h, b, c = ssm.evaluate(model, binding)
-    a_hp, _, _ = ssm.evaluate(model, binding_prime)
-    return sta.solve_similarity_raw(a_h, a_hp, b, c)
+    """Float certificate between two bindings of a minimal model: a stack
+    of one pair."""
+    a_h, b, c = ssm.evaluate(model, [binding])
+    a_hp, _, _ = ssm.evaluate(model, [binding_prime])
+    (inst,) = sta.solve_similarity_raw(a_h, a_hp, b, c)
+    return inst
 
 
 def test_identity_binding_gives_identity_s():
@@ -88,25 +90,24 @@ def test_equivalent_witness_preserves_markov():
     inst = certificate(model, binding, flipped)
     assert inst.verdict == "equivalent"
     count = 2 * model.dim
-    mk_h = ssm.markov(*ssm.evaluate(model, binding), count)
-    mk_hp = ssm.markov(*ssm.evaluate(model, flipped), count)
-    scale = max(1.0, np.max(np.abs(mk_h)))
-    assert np.max(np.abs(mk_h - mk_hp)) < 1e-8 * scale
+    mk_h = ssm.markov(*ssm.evaluate_exact(model, binding), count)
+    mk_hp = ssm.markov(*ssm.evaluate_exact(model, flipped), count)
+    assert mk_h == mk_hp
 
 
 def test_odd_n_after_reduction_equivalent_and_not():
     model = ladder(3)
     rng = spawn_rng(7, "odd")
     binding = rational_binding(model.param_ids, rng)
-    a_h, b, c = sta._minimal_triple(model, binding)
+    a_h, b, c = sta._minimal_triple(model, [binding])
     flipped = sta.flip_binding(binding, {"hb", "h2"})
-    a_hp, _, _ = sta._minimal_triple(model, flipped)
-    inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+    a_hp, _, _ = sta._minimal_triple(model, [flipped])
+    (inst,) = sta.solve_similarity_raw(a_h, a_hp, b, c)
     assert inst.verdict == "equivalent"
     bumped = dict(binding)
     bumped["h1"] = binding["h1"] * Fraction(9, 8)
-    a_hp, _, _ = sta._minimal_triple(model, bumped)
-    inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+    a_hp, _, _ = sta._minimal_triple(model, [bumped])
+    (inst,) = sta.solve_similarity_raw(a_h, a_hp, b, c)
     assert inst.verdict == "inequivalent"
 
 
@@ -133,20 +134,18 @@ def test_exact_rederivation_agrees_with_svd_route():
 def test_orbit_members_share_even_markov_parameters():
     model = ladder(2)
     binding = {"ha": 0.9, "hb": 1.4, "h1": 0.6}
-    base = ssm.markov(*ssm.evaluate(model, binding), 10)
+    base = ssm.markov(*ssm.evaluate_exact(model, binding), 10)
     params = sorted(binding)
     for pattern in itertools.product((1, -1), repeat=len(params)):
         member = {p: eps * binding[p] for p, eps in zip(params, pattern)}
         if member["ha"] != binding["ha"]:
             continue  # known coupling is not scanned
-        mk = ssm.markov(*ssm.evaluate(model, member), 10)
-        assert np.allclose(mk, base, atol=1e-12)
+        assert ssm.markov(*ssm.evaluate_exact(model, member), 10) == base
 
 
 @pytest.mark.parametrize("n_chain", [2, 3])
 def test_identifiability_scan_ladder(n_chain):
-    report = sta.identifiability_scan(
-        ladder(n_chain), trials=2, seed=13, n_perturb=5)
+    report = sta.identifiability_scan(ladder(n_chain), seed=13)
     assert report.all_clean is True
     for trial in report.trials:
         assert trial.sign_flips_equivalent == trial.sign_flips_checked
@@ -162,23 +161,17 @@ def test_identifiability_scan_refuses_other_schemes(scheme, initial):
         sta.identifiability_scan(model)
 
 
-@pytest.mark.parametrize("n_chain", [2, 3, 9])
-def test_identifiability_scan_without_trials_is_empty(n_chain):
-    report = sta.identifiability_scan(ladder(n_chain), trials=0)
-    assert report.trials == [] and report.all_clean is True
-
-
 @pytest.mark.parametrize("n_chain", [12, 16, 24, 41])
 def test_certificate_verdicts_on_long_chains(n_chain):
     model = ladder(n_chain)
     rng = spawn_rng(17, "long", str(n_chain))
     binding = rational_binding(model.param_ids, rng)
-    a_h, b, c = sta._minimal_triple(model, binding)
+    a_h, b, c = sta._minimal_triple(model, [binding])
     flippable = [p for p in model.param_ids if p != "ha"]
     for _ in range(4):
         flip = {p for p in flippable if rng.random() < 0.5} or {"hb"}
-        a_hp, _, _ = sta._minimal_triple(model, sta.flip_binding(binding, flip))
-        inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+        a_hp, _, _ = sta._minimal_triple(model, [sta.flip_binding(binding, flip)])
+        (inst,) = sta.solve_similarity_raw(a_h, a_hp, b, c)
         assert inst.verdict == "equivalent", flip
         assert inst.affine_dim == 0
         assert abs(inst.s_matrix[0, 0] - 1.0) <= 1e-8
@@ -186,8 +179,8 @@ def test_certificate_verdicts_on_long_chains(n_chain):
     for pid in ("ha", "hb", f"h{n_chain - 1}"):
         perturbed = dict(binding)
         perturbed[pid] = binding[pid] * Fraction(21, 20)  # +5 %
-        a_hp, _, _ = sta._minimal_triple(model, perturbed)
-        inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+        a_hp, _, _ = sta._minimal_triple(model, [perturbed])
+        (inst,) = sta.solve_similarity_raw(a_h, a_hp, b, c)
         assert inst.verdict == "inequivalent", pid
         assert inst.residual >= 1e-4
 
@@ -196,7 +189,7 @@ def test_certificate_verdicts_on_long_chains(n_chain):
 def test_float_spt_matches_exact_reduction(n_chain):
     model = ladder(n_chain)
     binding = rational_binding(model.param_ids, spawn_rng(19, str(n_chain)))
-    a_min, b_min, c_min = sta._minimal_triple(model, binding)
+    (a_min,), b_min, c_min = sta._minimal_triple(model, [binding])
     minimal, _ = realization.spt_minimal(model, binding)
     ref = np.array([[float(v) for v in row] for row in minimal.a_min])
     assert np.max(np.abs(a_min - ref)) <= 4e-15 * np.max(np.abs(ref))
@@ -213,7 +206,7 @@ def test_ladder_arnoldi_basis_is_the_signed_unit_basis(n_chain):
     model = ladder(n_chain)
     binding = rational_binding(model.param_ids, spawn_rng(37, str(n_chain)))
     if n_chain % 2:
-        a, b, _ = sta._minimal_triple(model, binding)
+        (a,), b, _ = sta._minimal_triple(model, [binding])
     else:
         a, b, _ = ssm.evaluate(model, binding)
     q, h = ssm.arnoldi(a, b, len(b))
@@ -226,7 +219,7 @@ def test_ladder_arnoldi_basis_is_the_signed_unit_basis(n_chain):
 def test_krylov_breakdown_is_degenerate():
     a = np.diag([1.0, 2.0, 3.0])
     x0 = np.array([1.0, 0.0, 0.0])  # an eigenvector: the Krylov space is 1-d
-    inst = sta.solve_similarity_raw(a, a, x0, x0)
+    (inst,) = sta.solve_similarity_raw(a[None], a[None], x0, x0)
     assert inst.verdict == "degenerate"
     assert inst.diagnostics["breakdown_step"] == 1
     assert inst.s_matrix is None
@@ -238,20 +231,40 @@ def test_certificate_refuses_input_off_its_krylov_basis():
     dense = a.copy()
     dense[2, 0] = 0.5  # below the subdiagonal: not upper Hessenberg
     refusal = "needs upper Hessenberg A and x0 on e_1"
-    for a_h, a_hp in ((dense, a), (a, dense), (a, np.stack([a, dense]))):
+    for a_h, a_hp in ((dense, a), (a, dense)):
         with pytest.raises(DimensionMismatch, match=refusal):
-            sta.solve_similarity_raw(a_h, a_hp, x0, x0)
+            sta.solve_similarity_raw(a_h[None], a_hp[None], x0, x0)
+    with pytest.raises(DimensionMismatch, match=refusal):
+        sta.solve_similarity_raw(np.stack([a, a]), np.stack([a, dense]), x0, x0)
     for start in ([0.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.0]):
         with pytest.raises(DimensionMismatch, match=refusal):
-            sta.solve_similarity_raw(a, a, np.array(start), x0)
-    assert sta.solve_similarity_raw(a, a, 2 * x0, x0).verdict == "equivalent"
+            sta.solve_similarity_raw(a[None], a[None], np.array(start), x0)
+    (inst,) = sta.solve_similarity_raw(a[None], a[None], 2 * x0, x0)
+    assert inst.verdict == "equivalent"
+
+
+def test_certificate_refuses_stacks_not_matched_one_to_one():
+    """Two (k, n, n) stacks of the same shape, and x0 and C of length n;
+    a single matrix is a stack of one, not a reference for every pair."""
+    a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+    x0 = np.array([1.0, 0.0, 0.0])
+    refusal = "pairs two \\(k, n, n\\) stacks"
+    for a_h, a_hp, start, c in (
+            (a, a, x0, x0),
+            (a, np.stack([a, a]), x0, x0),
+            (a[None], np.stack([a, a]), x0, x0),
+            (a[None, :2, :2], a[None, :2, :2], x0, x0[:2]),
+            (a[None, :, :2], a[None, :, :2], x0[:2], x0[:2]),
+            (a[None], a[None], x0, x0[:2])):
+        with pytest.raises(DimensionMismatch, match=refusal):
+            sta.solve_similarity_raw(a_h, a_hp, start, c)
 
 
 def test_stacked_certificate_breakdown_is_per_slice():
     a_h = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
     x0 = np.array([1.0, 0.0, 0.0])
     same, closed = sta.solve_similarity_raw(
-        a_h, np.stack([a_h, np.diag([1.0, 2.0, 3.0])]), x0, x0)
+        np.stack([a_h, a_h]), np.stack([a_h, np.diag([1.0, 2.0, 3.0])]), x0, x0)
     assert same.verdict == "equivalent"
     assert np.allclose(same.s_matrix, np.eye(3), atol=1e-12)
     assert closed.verdict == "degenerate"
@@ -277,7 +290,7 @@ def test_stacked_reference_breakdown_is_per_pair():
     assert np.allclose(same.s_matrix, np.eye(3), atol=1e-12)
     assert np.allclose(flip.s_matrix, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
     for got, want in zip((same, flip), sta.solve_similarity_raw(
-            full, np.stack([full, flipped]), x0, x0)):
+            np.stack([full, full]), np.stack([full, flipped]), x0, x0)):
         assert got.verdict == want.verdict
         assert got.residual == pytest.approx(want.residual, abs=1e-14)
 
@@ -299,18 +312,19 @@ def flip_and_bump_stack(model, n_chain):
 
 @pytest.mark.parametrize("n_chain", range(2, 10))
 def test_stacked_certificates_match_one_at_a_time(n_chain):
-    """The flip and perturbation stack in one call against one 2-D call
-    each."""
+    """The flip and perturbation stack in one call against one stack of
+    one pair each."""
     model = ladder(n_chain)
     flips, bumps, (a, b, c) = flip_and_bump_stack(model, n_chain)
-    stacked = sta.solve_similarity_raw(a[0], a[1:], b, c)
+    stacked = sta.solve_similarity_raw(
+        np.repeat(a[:1], len(a) - 1, axis=0), a[1:], b, c)
     assert len(stacked) == len(flips) + len(bumps)
     for other, a_hp, inst in zip(flips + bumps, a[1:], stacked):
-        a_one, b_one, c_one = sta._minimal_triple(model, other)
-        assert np.allclose(a_hp, a_one, rtol=0,
+        a_one, b_one, c_one = sta._minimal_triple(model, [other])
+        assert np.allclose(a_hp, a_one[0], rtol=0,
                            atol=1e-12 * np.abs(a_one).max())
         assert np.array_equal(b, b_one) and np.array_equal(c, c_one)
-        one = sta.solve_similarity_raw(a[0], a_one, b, c)
+        (one,) = sta.solve_similarity_raw(a[:1], a_one, b, c)
         assert inst.verdict == one.verdict
         assert inst.verdict == ("equivalent" if other in flips
                                 else "inequivalent")
@@ -323,34 +337,16 @@ def test_stacked_certificates_match_one_at_a_time(n_chain):
             assert np.allclose(inst.s_matrix, one.s_matrix, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_chain", range(2, 10))
-def test_broadcast_reference_is_the_repeated_stack(n_chain):
-    """One reference passed once and the same reference repeated as a
-    stack give the same instances bit for bit: the scan passes each
-    trial's reference repeated."""
-    model = ladder(n_chain)
-    _, _, (a, b, c) = flip_and_bump_stack(model, n_chain)
-    once = sta.solve_similarity_raw(a[0], a[1:], b, c)
-    repeated = sta.solve_similarity_raw(
-        np.repeat(a[:1], len(a) - 1, axis=0), a[1:], b, c)
-    for got, want in zip(once, repeated, strict=True):
-        assert got.verdict == want.verdict and got.affine_dim == want.affine_dim
-        assert got.residual == want.residual and got.det_s == want.det_s
-        assert got.diagnostics == want.diagnostics
-        assert (got.s_matrix is None and want.s_matrix is None
-                or got.s_matrix.tobytes() == want.s_matrix.tobytes())
-
-
-def serial_scan_trials(model, trials, seed, n_perturb):
+def serial_scan_trials(model, seed):
     """The scan's trials with one reduction and one certificate per binding:
     the referee of the stacked scan."""
     config = model.config
     flippable = [p for p in model.param_ids if p != "ha"]
     rows = []
-    for t in range(trials):
+    for t in range(sta.SCAN_TRIALS):
         rng = spawn_rng(seed, "scan", config.scheme_tag, str(config.n_chain), str(t))
         binding = rational_binding(model.param_ids, rng)
-        a_h, b, c = sta._minimal_triple(model, binding)
+        a_h, b, c = sta._minimal_triple(model, [binding])
         if 2 ** len(flippable) <= sta.MAX_SIGN_PATTERNS:
             patterns = [pat for r in range(1, len(flippable) + 1)
                         for pat in itertools.combinations(flippable, r)]
@@ -360,42 +356,46 @@ def serial_scan_trials(model, trials, seed, n_perturb):
             patterns = [p if p else (flippable[0],) for p in patterns]
         worst_equiv, n_equiv, witness = 0.0, 0, None
         for pat in patterns:
-            a_hp, _, _ = sta._minimal_triple(model, sta.flip_binding(binding, set(pat)))
-            inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+            a_hp, _, _ = sta._minimal_triple(
+                model, [sta.flip_binding(binding, set(pat))])
+            (inst,) = sta.solve_similarity_raw(a_h, a_hp, b, c)
             worst_equiv = max(worst_equiv, inst.residual)
             if inst.verdict == "equivalent":
                 n_equiv += 1
                 if witness is None:
                     witness = inst.s_matrix
         best_inequiv, n_inequiv = float("inf"), 0
-        for _ in range(n_perturb):
+        for _ in range(sta.SCAN_PERTURBATIONS):
             pid = model.param_ids[int(rng.integers(0, len(model.param_ids)))]
             delta = Fraction(int(rng.integers(1, 9)), 16)
             factor = 1 + delta if rng.random() < 0.5 else 1 / (1 + delta)
             perturbed = dict(binding)
             perturbed[pid] = binding[pid] * factor
-            a_hp, _, _ = sta._minimal_triple(model, perturbed)
-            inst = sta.solve_similarity_raw(a_h, a_hp, b, c)
+            a_hp, _, _ = sta._minimal_triple(model, [perturbed])
+            (inst,) = sta.solve_similarity_raw(a_h, a_hp, b, c)
             best_inequiv = min(best_inequiv, inst.residual)
             if inst.verdict == "inequivalent":
                 n_inequiv += 1
         rows.append(sta.ScanTrial(
             {k: float(v) for k, v in binding.items()}, len(patterns), n_equiv,
-            n_perturb, n_inequiv, worst_equiv, best_inequiv, witness))
+            sta.SCAN_PERTURBATIONS, n_inequiv, worst_equiv, best_inequiv,
+            witness))
     return rows
 
 
-def check_scan_against_serial(model, trials, n_perturb):
-    report = sta.identifiability_scan(model, trials=trials, seed=31,
-                                      n_perturb=n_perturb)
+@pytest.mark.parametrize("n_chain", range(2, 10))
+def test_identifiability_scan_matches_serial_referee(n_chain):
+    model = ladder(n_chain)
+    report = sta.identifiability_scan(model, seed=31)
     assert report.all_clean is True
-    serial = serial_scan_trials(model, trials=trials, seed=31, n_perturb=n_perturb)
-    assert len(report.trials) == len(serial) == trials
+    serial = serial_scan_trials(model, seed=31)
+    assert len(report.trials) == len(serial) == sta.SCAN_TRIALS
     for got, want in zip(report.trials, serial):
         assert got.binding == want.binding
         assert got.sign_flips_checked == want.sign_flips_checked
         assert got.sign_flips_equivalent == want.sign_flips_equivalent
-        assert got.perturbations_checked == want.perturbations_checked == n_perturb
+        assert (got.perturbations_checked == want.perturbations_checked
+                == sta.SCAN_PERTURBATIONS)
         assert got.perturbations_inequivalent == want.perturbations_inequivalent
         # the worst equivalent residual is round-off, ~1e-15
         assert got.worst_equiv_residual == pytest.approx(
@@ -403,19 +403,6 @@ def check_scan_against_serial(model, trials, n_perturb):
         assert got.best_inequiv_residual == pytest.approx(
             want.best_inequiv_residual, rel=1e-12)
         assert np.allclose(got.witness_s, want.witness_s, rtol=0, atol=1e-12)
-    if n_perturb == 0:
-        assert all(t.best_inequiv_residual == float("inf") for t in report.trials)
-
-
-@pytest.mark.parametrize("n_perturb", [0, 8])
-@pytest.mark.parametrize("n_chain", range(2, 10))
-def test_identifiability_scan_matches_serial_referee(n_chain, n_perturb):
-    check_scan_against_serial(ladder(n_chain), 2, n_perturb)
-
-
-@pytest.mark.parametrize("n_chain", range(2, 10))
-def test_identifiability_scan_matches_serial_referee_at_three_trials(n_chain):
-    check_scan_against_serial(ladder(n_chain), 3, 8)
 
 
 def test_exact_certificate_lifts_the_dim_cap():
@@ -491,7 +478,9 @@ def arnoldi_certificate(a_h, a_hp, x0, c, pair):
     return out
 
 
-@pytest.mark.parametrize("seed", range(3))
+# 18 seeds of the fixed 2-trial, 8-perturbation scan: 324 to 576
+# certified instances per N
+@pytest.mark.parametrize("seed", range(18))
 @pytest.mark.parametrize("n_chain", range(1, 17))
 def test_certificate_is_the_arnoldi_certificate_to_the_last_bit(
         n_chain, seed, monkeypatch):

@@ -191,10 +191,11 @@ def test_verify_groebner_rejects_incomplete_basis():
     assert verify_groebner(buchberger(gens).generators)
 
 
-def test_pair_budget_enforced():
+def test_pair_budget_enforced(monkeypatch):
     _, eqs = cube_equations(Fraction(1), Fraction(2), Fraction(3))
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        buchberger(eqs, pair_budget=1)
+        buchberger(eqs)
 
 
 def pinned_field_system():
