@@ -365,6 +365,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         evidence["scan_trials"] = len(scan.trials)
         if (obs_rank != model.dim - expected_deficiency
                 or minimal.diagnostics["controllable_rank"] != model.dim
+                or det_cm == 0 or det_cm != det_closed
                 or not scan.all_clean):
             verdicts["identifiability"] = "inconclusive"
             verdicts["reason"] = "structural evidence disagreed at the probe"
@@ -428,7 +429,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         noise_sigma=run.noise_sigma, seed=run.seed,
     )
     path = run.record_path or "record.csv"
-    _write_text(path, estimate.record_to_text(record), "record")
+    _write_text(path, estimate.save_record(record), "record")
     if config.capability == "orthogonal":
         sys.stdout.write(
             "warning: this scheme reads out identically zero; the record "
@@ -459,7 +460,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             f"truth names unknown coupling {', '.join(unknown)}; this "
             f"scheme's couplings are {', '.join(couplings)}"
         )
-    record = estimate.record_from_text(_read_text(run.record_path, "record"))
+    record = estimate.load_record(_read_text(run.record_path, "record"))
     result = estimate.recover_parameters(record, config)
     verdicts = {
         "method": result.method,

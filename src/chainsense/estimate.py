@@ -243,8 +243,9 @@ def simulate_record(
     )
 
 
-def save_record(record: MeasurementRecord, fh) -> None:
-    """CSV with header t,y,sigma,seed,scheme; floats via repr (bit-exact).
+def save_record(record: MeasurementRecord) -> str:
+    """CSV text with header t,y,sigma,seed,scheme; floats via repr
+    (bit-exact).
 
     sigma, seed and scheme are the same on every row, so the writer quotes
     them once, as the suffix every ``t,y`` pair gets.
@@ -259,20 +260,21 @@ def save_record(record: MeasurementRecord, fh) -> None:
     suffix = buf.getvalue()[len(header):]
     times = np.asarray(record.times, dtype=float).tolist()
     values = np.asarray(record.values, dtype=float).tolist()
-    fh.write(header + "".join(
+    return header + "".join(
         [f"{t!r},{y!r}{suffix}" for t, y in zip(times, values)]
-    ))
+    )
 
 
-def load_record(fh) -> MeasurementRecord:
-    """Parse the CSV that save_record writes; any defect is inadmissible.
+def load_record(text: str) -> MeasurementRecord:
+    """Parse the CSV text that save_record writes; any defect is
+    inadmissible.
 
     One csv pass appends each row's fields to one flat list, so no row's
     list outlives its line, and the columns convert whole.  Only a record
     with a defect is parsed a second time, row by row, to name its first
     bad line.
     """
-    lines = fh.readlines()
+    lines = io.StringIO(text).readlines()
     reader = csv.reader(lines)
     width = len(RECORD_HEADER)
     fields: list[str] = []
@@ -378,16 +380,6 @@ def _refuse_first_bad_row(body: list[list[str]]) -> None:
             raise InadmissibleConfig(
                 f"record line {lineno}: negative sigma in row {row!r}"
             )
-
-
-def record_to_text(record: MeasurementRecord) -> str:
-    buf = io.StringIO()
-    save_record(record, buf)
-    return buf.getvalue()
-
-
-def record_from_text(text: str) -> MeasurementRecord:
-    return load_record(io.StringIO(text))
 
 
 # -- ERA ---------------------------------------------------------------------
@@ -752,8 +744,8 @@ def _cube_theta(v1: Fraction, v2: Fraction, v3: Fraction):
     """(t1, t2, t3) = (h_alpha, h_beta^2, h_1^2) from the cube's N = 2
     invariants, or None when v1 = 0 or a square comes out negative.
 
-    The pinned system of ``symca.cube_equations`` is triangular; these are
-    its closed forms (acceptance 07).
+    The pinned N = 2 cube system (``cube_equations`` in the tests'
+    referees) is triangular; these are its closed forms (acceptance 07).
     """
     if v1 == 0:
         return None

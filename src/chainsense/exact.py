@@ -1,29 +1,25 @@
 """Exact linear algebra over rational matrices, computed on integers.
 
-Used for the zero-tolerance structural checks (determinants, ranks,
-nullspaces, the SPT closed forms).  Matrices are lists of lists whose
-entries are ints or Fractions; every result is a Fraction.  ``det``,
-``solve`` and ``matvec`` are on the ``analyze`` path: the ladder's
-controllability determinant is an elimination at dimension N + 2, and at
-odd N the SPT reduction takes the determinant of, and solves with, the
-Krylov rows c A^k, which form a lower Hessenberg matrix with a
-checkerboard of zeros.
+Used for the zero-tolerance structural checks of ``analyze``.  Matrices
+are lists of lists whose entries are ints or Fractions; every result is a
+Fraction.  The ladder's controllability determinant is an elimination at
+dimension N + 2, and at odd N the SPT reduction takes the determinant
+of, and solves with, the Krylov rows c A^k, which form a lower
+Hessenberg matrix with a checkerboard of zeros.
 
-Every routine here runs on one forward elimination that operates only on
-rows with a nonzero below the pivot (Golub and Van Loan, *Matrix
-Computations*, section 4.3).  The elimination is fraction-free (Bareiss, *Math. Comp.*
-22, 1968): each row is cleared of its denominators on entry and the row
-operations stay on integers, with each updated row divided by its
-content, so entries stay bounded by the minors of the matrix.  A
-Fraction normalises by a gcd after every single operation; here ``det``
-divides by the accumulated row multiplier once, and back substitution
-divides once per pivot.  ``rank`` counts the pivots; ``solve``,
-``inverse``, ``nullspace`` and ``solve_general`` finish with one back
-substitution on the echelon rows.
+``det`` and ``solve`` run on one forward elimination that operates only
+on rows with a nonzero below the pivot (Golub and Van Loan, *Matrix
+Computations*, section 4.3).  The elimination is fraction-free (Bareiss,
+*Math. Comp.* 22, 1968): each row is cleared of its denominators on
+entry and the row operations stay on integers, with each updated row
+divided by its content, so entries stay bounded by the minors of the
+matrix.  A Fraction normalises by a gcd after every single operation;
+here ``det`` divides by the accumulated row multiplier once, and
+``solve`` finishes with one back substitution that divides once per
+pivot.
 
-``matmul`` and ``matvec`` also take ``symca`` polynomial entries: the
-symbolic Markov parameters and the Faddeev-LeVerrier referee form their
-products with them.
+``matvec`` also takes ``symca`` polynomial entries: the symbolic Markov
+parameters are its products.
 """
 
 from __future__ import annotations
@@ -38,20 +34,6 @@ Mat = list[list[Fraction]]
 
 def zeros(rows: int, cols: int) -> Mat:
     return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik:
-                row = b[k]
-                orow = out[i]
-                for j in range(cols):
-                    orow[j] += aik * row[j]
-    return out
 
 
 def matvec(a: Mat, v: list[Fraction]) -> list[Fraction]:
@@ -127,16 +109,15 @@ def _eliminate(m, cols: int):
     return a, pivots, sign, Fraction(scale, content)
 
 
-def _back_substitute(a, pivots: list[int], rhs, x: list[int]) -> list[Fraction]:
-    """Fill the pivot entries of x so that echelon row i times x is rhs[i];
-    the other entries of x are the free unknowns, taken as given.
+def _back_substitute(a, pivots: list[int], rhs) -> list[Fraction]:
+    """The x with echelon row i times x equal to rhs[i], for a square
+    system with a pivot in every column.
 
-    The rows, rhs and the free unknowns are integers.  x is carried as
-    integer numerators over one common denominator, so each pivot costs
-    one gcd and one exact division, and the Fractions are formed at the
-    end.
+    The rows and rhs are integers.  x is carried as integer numerators
+    over one common denominator, so each pivot costs one gcd and one exact
+    division, and the Fractions are formed at the end.
     """
-    x, den = list(x), 1
+    x, den = [0] * len(pivots), 1
     for i in reversed(range(len(pivots))):
         c = pivots[i]
         row = a[i]
@@ -164,21 +145,6 @@ def det(m: Mat) -> Fraction:
     return result / multiplier
 
 
-def rank(m: Mat) -> int:
-    return len(_eliminate(m, len(m[0]) if m else 0)[1])
-
-
-def inverse(m: Mat) -> Mat:
-    n = len(m)
-    a, pivots, _, _ = _eliminate(
-        [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)], n)
-    if len(pivots) < n:
-        raise AtypicalParameters("matrix is singular at this binding")
-    columns = [_back_substitute(a, pivots, [row[n + k] for row in a], [0] * n)
-               for k in range(n)]
-    return transpose(columns)
-
-
 def solve(m: Mat, b: list[Fraction]) -> list[Fraction]:
     """Unique solution of m x = b (square nonsingular m): forward
     elimination of [m | b], then back substitution."""
@@ -186,31 +152,7 @@ def solve(m: Mat, b: list[Fraction]) -> list[Fraction]:
     a, pivots, _, _ = _eliminate([row + [bv] for row, bv in zip(m, b)], n)
     if len(pivots) < n:
         raise AtypicalParameters("matrix is singular at this binding")
-    return _back_substitute(a, pivots, [row[n] for row in a], [0] * n)
-
-
-def nullspace(m: Mat) -> list[list[Fraction]]:
-    """Basis of the right nullspace: vector f sets free unknown f to 1 and
-    the other free unknowns to 0."""
-    cols = len(m[0])
-    a, pivots, _, _ = _eliminate(m, cols)
-    zero = [0] * len(pivots)
-    return [_back_substitute(a, pivots, zero, [int(c == f) for c in range(cols)])
-            for f in range(cols) if f not in pivots]
-
-
-def solve_general(
-    m: Mat, b: list[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Particular solution (every free unknown 0) and nullspace basis of
-    m x = b, or None if the system is inconsistent.  m may be rectangular
-    or rank deficient."""
-    cols = len(m[0]) if m else 0
-    a, pivots, _, _ = _eliminate([row + [bv] for row, bv in zip(m, b)], cols + 1)
-    if cols in pivots:
-        return None
-    particular = _back_substitute(a, pivots, [row[cols] for row in a], [0] * cols)
-    return particular, nullspace(m)
+    return _back_substitute(a, pivots, [row[n] for row in a])
 
 
 def to_floats(m: Mat):

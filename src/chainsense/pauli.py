@@ -13,15 +13,15 @@ accessible-set machinery keeps basis elements in the sign-stripped form
 The helpers at the bottom act on the computational basis for the quantum
 oracle: a string sends a basis state to one signed basis state, and H is
 built block by block on any set of basis states that it maps into itself.
-``dense_matrix`` and ``dense_state`` build literal Kronecker products; the
-tests use them as the independent referee.  All of them refuse to run
-above 14 qubits.
+The oracle refuses to run above 14 qubits.  The operator product, the
+commutation test and literal Kronecker products of strings and states
+are the tests' referees (``tests/referees/pauli.py``), not package code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -36,13 +36,6 @@ ORACLE_MAX_QUBITS = 14
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS = {v: k for k, v in _LETTERS.items()}
-
-_DENSE_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -104,35 +97,6 @@ def from_letters(n_qubits: int, letters: dict[int, str], phase_exp: int = 0) -> 
         x |= xb << q
         z |= zb << q
     return PauliString(n_qubits, x, z, phase_exp)
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Operator product p*q with exact phase bookkeeping.
-
-    Per site X^x Z^z normal form gives the phase rule: commuting the Z part
-    of ``p`` past the X part of ``q`` contributes (-1) per overlapping site,
-    and converting letters to/from the normal form contributes one power of
-    i per Y.
-    """
-    if p.n_qubits != q.n_qubits:
-        raise DimensionMismatch(f"{p.n_qubits} vs {q.n_qubits} qubits")
-    x = p.x_mask ^ q.x_mask
-    z = p.z_mask ^ q.z_mask
-    phase = (
-        p.phase_exp
-        + q.phase_exp
-        + p._n_y()
-        + q._n_y()
-        - (x & z).bit_count()
-        + 2 * (p.z_mask & q.x_mask).bit_count()
-    )
-    return PauliString(p.n_qubits, x, z, phase % 4)
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """Symplectic-parity test: strings commute iff the overlap count is even."""
-    anti = (p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()
-    return anti % 2 == 0
 
 
 # -- text form --------------------------------------------------------------
@@ -284,8 +248,10 @@ def heisenberg_derivative(
     and i[P/2, o] = i P o = +-(P o with its phase stripped).  The sign is
     the ``int`` coefficient and the phase-0 string is returned as its mask
     key; terms that land on the same string are summed in the order they
-    first appear.  The anticommutation test and the product phase are those
-    of :func:`commutes` and :func:`multiply`, taken on the masks.
+    first appear.  The anticommutation test is the symplectic parity of
+    the masks, and the product phase is that of the per-site X^x Z^z
+    normal form: the Z part of P passing the X part of ``o`` gives -1 per
+    overlapping site, and each Y one power of i.
     """
     if o.n_qubits != h.n_qubits:
         raise DimensionMismatch(f"{h.n_qubits} vs {o.n_qubits} qubits")
@@ -365,7 +331,7 @@ def expectation(p: PauliString, state: InitialState) -> int:
 # -- computational basis and dense oracles -----------------------------------
 #
 # Basis states are integers in Kronecker order: qubit 0 is the most
-# significant bit, as in the rows of ``dense_matrix``.
+# significant bit, as in the rows of a Kronecker product.
 
 _PHASES = (1, 1j, -1, -1j)
 
@@ -400,22 +366,6 @@ def basis_action(p: PauliString, states) -> tuple[np.ndarray, np.ndarray, comple
     zmask = _kron_mask(p.z_mask, p.n_qubits)
     signs = 1.0 - 2.0 * (np.bitwise_count(states & zmask) & 1)
     return states ^ flip, signs, _PHASES[(p.phase_exp + p._n_y()) % 4]
-
-
-@lru_cache(maxsize=4096)
-def _dense_cached(n: int, x: int, z: int, phase: int) -> np.ndarray:
-    mat = np.array([[1.0 + 0j]])
-    for q in range(n):
-        mat = np.kron(mat, _DENSE_1Q[_LETTERS[((x >> q) & 1, (z >> q) & 1)]])
-    mat = (1j**phase) * mat
-    mat.setflags(write=False)
-    return mat
-
-
-def dense_matrix(p: PauliString) -> np.ndarray:
-    """Literal Kronecker-product matrix of a string (oracle; <= 14 qubits)."""
-    _check_oracle_size(p.n_qubits)
-    return _dense_cached(p.n_qubits, p.x_mask, p.z_mask, p.phase_exp)
 
 
 def dense_hamiltonian(
@@ -481,14 +431,3 @@ def dense_hamiltonian(
             value[inside])
     return [flat[start:end].reshape(size, size)
             for start, end, size in zip(offsets, offsets[1:], sizes)]
-
-
-def dense_state(state: InitialState) -> np.ndarray:
-    """Dense density matrix of an :class:`InitialState` (oracle)."""
-    _check_oracle_size(state.n_qubits)
-    plus = 0.5 * (np.eye(2) + _DENSE_1Q["X"])
-    mixed = 0.5 * np.eye(2)
-    rho = np.array([[1.0 + 0j]])
-    for q in range(state.n_qubits):
-        rho = np.kron(rho, plus if q in state.prepared_x else mixed)
-    return rho

@@ -1,4 +1,4 @@
-"""Deterministic random streams and parameter-binding samplers.
+"""Deterministic random streams and the rational binding sampler.
 
 A single user-facing seed fans out into independent, label-addressed
 streams so that adding one more draw in one place never shifts any other
@@ -18,15 +18,6 @@ def spawn_rng(seed: int, *labels: object) -> np.random.Generator:
     entropy = [int(seed) & 0xFFFFFFFF]
     entropy += [zlib.crc32(str(label).encode("utf8")) for label in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def random_binding(param_ids, rng: np.random.Generator) -> dict[str, float]:
-    """Magnitudes uniform in [1/4, 2], random signs; never zero."""
-    out = {}
-    for pid in param_ids:
-        mag = float(rng.uniform(0.25, 2.0))
-        out[pid] = (int(rng.integers(0, 2)) * 2 - 1) * mag
-    return out
 
 
 def rational_binding(param_ids, rng: np.random.Generator) -> dict[str, Fraction]:

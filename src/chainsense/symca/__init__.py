@@ -1,4 +1,5 @@
-"""Exact symbolic layer: polynomials, Groebner bases, transfer functions."""
+"""Exact symbolic layer: polynomials, Groebner bases, symbolic Markov
+parameters."""
 
 from .groebner import (
     GroebnerBasis,
@@ -14,18 +15,12 @@ from .poly import (
     PolyRing,
     RatFunc,
     RatFuncField,
-    parse,
     render,
     square_substitute,
 )
 from .transfer import (
-    RationalTransfer,
-    cube_equations,
-    markov_from_transfer,
-    minimal_denominator_exact,
     model_ring,
     symbolic_markov,
-    symbolic_transfer,
 )
 
 __all__ = [
@@ -34,20 +29,14 @@ __all__ = [
     "PolyRing",
     "RatFunc",
     "RatFuncField",
-    "RationalTransfer",
     "SolveResult",
     "buchberger",
-    "cube_equations",
-    "markov_from_transfer",
-    "minimal_denominator_exact",
     "model_ring",
-    "parse",
     "reduce_poly",
     "render",
     "s_poly",
     "solve_identifiability",
     "square_substitute",
     "symbolic_markov",
-    "symbolic_transfer",
     "verify_groebner",
 ]

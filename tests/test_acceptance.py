@@ -10,12 +10,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from chainsense import estimate, exact, realization, ssm
+from chainsense import estimate, realization, ssm
 from chainsense.accessible import CATALOG, SensorConfig, capability_class
-from chainsense.prng import random_binding, rational_binding, spawn_rng
+from chainsense.prng import rational_binding, spawn_rng
 from chainsense.symca import buchberger
 from chainsense.symca.poly import MPoly, PolyRing, RatFunc, RatFuncField
 from chainsense.sta import flip_binding, solve_similarity_raw
+from referees import exact
+from referees.prng import random_binding
+from referees.realization import (
+    exact_observability_rank,
+    p_bar_inverse_last_column_closed_form,
+    p_vec_closed_form,
+    pbh_test_exact,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -112,12 +120,12 @@ def test_criterion_04_observability_rank_parity():
         model = ssm.build(_ladder(n))
         rng = spawn_rng(4, "acc4", str(n))
         binding = rational_binding(model.param_ids, rng)
-        rank = realization.exact_observability_rank(model, binding)
+        rank = exact_observability_rank(model, binding)
         expected = model.dim if n % 2 == 0 else model.dim - 1
         if rank != expected:
             bad.append((n, rank, expected))
         if n % 2 == 1:
-            pbh = realization.pbh_test_exact(model, binding, Fraction(0))
+            pbh = pbh_test_exact(model, binding, Fraction(0))
             if not pbh.deficient:
                 bad.append((n, "pbh-full-rank", pbh.rank))
     _report(4, not bad,
@@ -134,13 +142,13 @@ def test_criterion_05_spt_closed_forms():
             rng = spawn_rng(5, "acc5", str(n), str(trial))
             binding = rational_binding(model.param_ids, rng)
             _, art = realization.spt_minimal(model, binding)
-            if art.p_vec != realization.p_vec_closed_form(n, binding):
+            if art.p_vec != p_vec_closed_form(n, binding):
                 bad.append((n, trial, "p"))
             if art.det_p_bar != realization.det_p_bar_closed_form(n, binding):
                 bad.append((n, trial, "det_p_bar"))
             inv = exact.inverse(art.p_bar)
             last_col = [row[-1] for row in inv]
-            want_col = realization.p_bar_inverse_last_column_closed_form(
+            want_col = p_bar_inverse_last_column_closed_form(
                 n, binding)
             if last_col != want_col:
                 bad.append((n, trial, "p_bar_inv_last_col"))

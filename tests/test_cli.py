@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainsense import cli, estimate, exact, realization, ssm
+from chainsense import cli, estimate, realization, ssm
 from chainsense.accessible import CATALOG, SensorConfig
-from chainsense.prng import random_binding, rational_binding, spawn_rng
+from chainsense.prng import rational_binding, spawn_rng
+from referees import exact
+from referees.prng import random_binding
 
 
 def run_cli(argv, capsys):
@@ -115,6 +117,25 @@ def test_analyze_short_kalman_width_is_inconclusive(capsys, monkeypatch, width):
         ["analyze", "--measurement", "ZaYb", "--n-chain", "4"], capsys)
     assert code == 0
     assert "'inconclusive'" in out
+
+
+@pytest.mark.parametrize("n_chain", [4, 5])
+def test_analyze_wrong_det_cm_closed_form_is_inconclusive(
+        tmp_path, capsys, monkeypatch, n_chain):
+    # the exact det(CM) evidence decides the verdict, not only the report
+    det_cm_closed_form = realization.det_cm_closed_form
+    monkeypatch.setattr(realization, "det_cm_closed_form",
+                        lambda n, binding: -det_cm_closed_form(n, binding))
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        ["analyze", "--measurement", "ZaYb", "--n-chain", str(n_chain),
+         "--report", str(out_path)], capsys)
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["evidence"]["det_cm_matches_closed_form"] is False
+    assert payload["verdicts"] == {
+        "identifiability": "inconclusive",
+        "reason": "structural evidence disagreed at the probe"}
 
 
 def test_analyze_referee_disagreement_is_numeric_failure(capsys, monkeypatch):
@@ -270,7 +291,7 @@ def test_simulate_writes_matching_record(tmp_path, capsys):
         capsys)
     assert code == 0
     assert "wrote 40 samples" in out
-    rec = estimate.record_from_text(path.read_text())
+    rec = estimate.load_record(path.read_text())
     cfg = SensorConfig(2, 2, "YaZb", "xb")
     model = ssm.build(cfg)
     expect = ssm.impulse_response(
@@ -337,7 +358,7 @@ def test_simulate_single_qubit_zeros_with_warning(tmp_path, capsys):
          "--count", "20", "--record", str(path)], capsys)
     assert code == 0
     assert "warning" in out
-    rec = estimate.record_from_text(path.read_text())
+    rec = estimate.load_record(path.read_text())
     assert np.all(rec.values == 0.0)
 
 
@@ -404,7 +425,7 @@ def test_simulate_vanishing_couplings_need_dt(tmp_path, capsys, ha):
         ["simulate", *flags, "--dt", "0.1", "--count", "8",
          "--record", str(rec_path)], capsys)
     assert code == 0
-    record = estimate.record_from_text(rec_path.read_text())
+    record = estimate.load_record(rec_path.read_text())
     assert record.count == 8 and record.dt == 0.1
     assert np.max(np.abs(record.values)) < 1e-300
 
@@ -1076,7 +1097,7 @@ def test_config_file_flag_overrides(tmp_path, capsys):
          "--set", "ha=1.0", "--set", "hb=0.7", "--count", "24",
          "--record", str(rec_path)], capsys)
     assert code == 0
-    rec = estimate.record_from_text(rec_path.read_text())
+    rec = estimate.load_record(rec_path.read_text())
     assert rec.scheme_tag == "YaZb@2q"
     assert rec.count == 24
 

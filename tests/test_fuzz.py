@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from chainsense import cli, pauli
 from chainsense.errors import ChainsenseError
-from chainsense.symca.poly import PolyRing, parse
+from chainsense.symca.poly import PolyRing
+from referees.poly import parse
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])

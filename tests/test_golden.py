@@ -30,7 +30,8 @@ import pytest
 
 from chainsense import cli
 from chainsense.accessible import CATALOG
-from chainsense.prng import random_binding, spawn_rng
+from chainsense.prng import spawn_rng
+from referees.prng import random_binding
 
 CORPUS = Path(__file__).with_name("golden_reports.json")
 

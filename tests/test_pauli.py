@@ -19,19 +19,16 @@ from chainsense.pauli import (
     PauliString,
     basis_action,
     chain_hamiltonian,
-    commutes,
     dense_hamiltonian,
-    dense_matrix,
-    dense_state,
     excitation_sectors,
     expectation,
     format_string,
     from_letters,
     heisenberg_derivative,
     initial_state,
-    multiply,
     parse_string,
 )
+from referees.pauli import commutes, dense_matrix, dense_state, multiply
 
 
 def random_string(rng, n):

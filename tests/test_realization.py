@@ -10,10 +10,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chainsense import exact, realization, ssm
+from chainsense import realization, ssm
 from chainsense.accessible import CATALOG, SensorConfig, generate
 from chainsense.errors import AtypicalParameters, DimensionMismatch
-from chainsense.prng import random_binding, rational_binding, spawn_rng
+from chainsense.prng import rational_binding, spawn_rng
+from referees import exact
+from referees.prng import random_binding
+from referees.realization import (
+    even_q_diagonal_closed_form,
+    even_structure,
+    exact_observability_rank,
+    p_bar_inverse_last_column_closed_form,
+    p_vec_closed_form,
+    pbh_test_exact,
+)
 from test_ssm import float_markov
 
 # a 0/0 or overflow inside a float rank decision is a bug, not noise
@@ -87,7 +97,7 @@ def test_observability_rank_parity(n_chain, expect_deficiency):
     binding = random_binding(model.param_ids, rng)
     rank = observable_width(model, binding)
     assert rank == model.dim - expect_deficiency
-    exact_rank = realization.exact_observability_rank(
+    exact_rank = exact_observability_rank(
         model, rational_binding(model.param_ids, rng))
     assert exact_rank == model.dim - expect_deficiency
 
@@ -100,7 +110,7 @@ def test_observability_rank_parity_on_long_ladders(n_chain):
     binding = random_binding(model.param_ids, rng)
     rank = observable_width(model, binding)
     assert rank == model.dim - n_chain % 2
-    exact_rank = realization.exact_observability_rank(
+    exact_rank = exact_observability_rank(
         model, rational_binding(model.param_ids, rng))
     assert exact_rank == model.dim - n_chain % 2
 
@@ -112,7 +122,7 @@ def test_cube_exact_observability_ranks(n_chain, rank):
     read the full dimension at this probe."""
     model = cube(n_chain)
     binding = rational_binding(model.param_ids, spawn_rng(3, "rk", str(n_chain)))
-    assert realization.exact_observability_rank(model, binding) == rank
+    assert exact_observability_rank(model, binding) == rank
 
 
 @pytest.mark.parametrize("n_chain", [1, 2, 3])
@@ -162,10 +172,10 @@ def test_pbh_odd_deficient_at_zero(n_chain):
     model = ladder(n_chain)
     rng = spawn_rng(17, "pbh", str(n_chain))
     binding = random_binding(model.param_ids, rng)
-    res = realization.pbh_test_exact(
+    res = pbh_test_exact(
         model, {k: Fraction(v) for k, v in binding.items()}, Fraction(0))
     assert res.deficient
-    res_exact = realization.pbh_test_exact(
+    res_exact = pbh_test_exact(
         model, rational_binding(model.param_ids, rng), Fraction(0))
     assert res_exact.deficient
 
@@ -176,7 +186,7 @@ def test_pbh_even_full_at_zero(n_chain):
     rng = spawn_rng(19, "pbh-even", str(n_chain))
     binding = random_binding(model.param_ids, rng)
     binding = {k: Fraction(v) for k, v in binding.items()}
-    assert not realization.pbh_test_exact(model, binding, Fraction(0)).deficient
+    assert not pbh_test_exact(model, binding, Fraction(0)).deficient
 
 
 # -- even-N permutation structure -------------------------------------------
@@ -187,7 +197,7 @@ def test_even_structure_blocks_and_diagonal(n_chain):
     model = ladder(n_chain)
     rng = spawn_rng(23, "even", str(n_chain))
     binding = rational_binding(model.param_ids, rng)
-    st = realization.even_structure(model, binding)
+    st = even_structure(model, binding)
     half = model.dim // 2
     t = st.t_block
     # upper bidiagonal: diag (-ha, -h1, -h3, ...), superdiag (hb, h2, h4, ...)
@@ -201,14 +211,14 @@ def test_even_structure_blocks_and_diagonal(n_chain):
                 assert t[i][j] == binding[super_params[i]]
             else:
                 assert t[i][j] == 0
-    assert st.q_diagonal == realization.even_q_diagonal_closed_form(n_chain, binding)
+    assert st.q_diagonal == even_q_diagonal_closed_form(n_chain, binding)
 
 
 def test_even_structure_rejects_odd_or_cube():
     with pytest.raises(DimensionMismatch):
-        realization.even_structure(ladder(3), {})
+        even_structure(ladder(3), {})
     with pytest.raises(DimensionMismatch):
-        realization.even_structure(cube(2), {})
+        even_structure(cube(2), {})
 
 
 # -- SPT reduction ----------------------------------------------------------
@@ -234,11 +244,11 @@ def test_spt_artifact_closed_forms(n_chain):
     for _ in range(3):
         binding = rational_binding(model.param_ids, rng)
         minimal, art = realization.spt_minimal(model, binding)
-        assert art.p_vec == realization.p_vec_closed_form(n_chain, binding)
+        assert art.p_vec == p_vec_closed_form(n_chain, binding)
         assert art.det_p_bar == realization.det_p_bar_closed_form(n_chain, binding)
         inv = exact.inverse(art.p_bar)
         last_col = [row[-1] for row in inv]
-        assert last_col == realization.p_bar_inverse_last_column_closed_form(
+        assert last_col == p_bar_inverse_last_column_closed_form(
             n_chain, binding)
         a_full, _, _ = ssm.evaluate_exact(model, binding)
         m = model.dim - 1
@@ -255,7 +265,7 @@ def test_spt_artifact_closed_forms_on_long_ladders(n_chain):
     binding = rational_binding(model.param_ids, spawn_rng(29, "spt", str(n_chain)))
     _, art = realization.spt_minimal(model, binding)
     assert art.det_p_bar == realization.det_p_bar_closed_form(n_chain, binding)
-    assert art.p_vec == realization.p_vec_closed_form(n_chain, binding)
+    assert art.p_vec == p_vec_closed_form(n_chain, binding)
     m = model.dim - 1
     last = [art.a_tilde[i][m - 1] for i in range(m)]
     assert last == realization.a_tilde_last_column_closed_form(n_chain, binding)

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from chainsense import estimate, pauli, ssm
 from chainsense.accessible import CATALOG, SensorConfig, generate
 from chainsense.errors import InadmissibleConfig, NumericFailure
-from chainsense.pauli import dense_hamiltonian, dense_matrix, dense_state
-from chainsense.prng import random_binding, rational_binding, spawn_rng
+from chainsense.pauli import dense_hamiltonian
+from chainsense.prng import rational_binding, spawn_rng
+from referees.pauli import dense_matrix, dense_state
+from referees.prng import random_binding
 
 
 def quantum_impulse(cfg: SensorConfig, binding: dict[str, float], times) -> np.ndarray:

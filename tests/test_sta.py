@@ -14,7 +14,9 @@ import pytest
 from chainsense import realization, ssm, sta
 from chainsense.accessible import SensorConfig
 from chainsense.errors import DimensionMismatch
-from chainsense.prng import random_binding, rational_binding, spawn_rng
+from chainsense.prng import rational_binding, spawn_rng
+from referees.prng import random_binding
+from referees.sta import solve_similarity_exact
 from test_ssm import _arnoldi_referee
 
 # a 0/0 or overflow inside the certificate is a bug, not noise
@@ -119,14 +121,14 @@ def test_exact_rederivation_agrees_with_svd_route():
     for flip in [set(), {"hb"}, {"h1"}, {"hb", "h1"}]:
         flipped = sta.flip_binding(binding, flip)
         a_p, _, _ = ssm.evaluate_exact(model, flipped)
-        ex = sta.solve_similarity_exact(a, a_p, b, c)
+        ex = solve_similarity_exact(a, a_p, b, c)
         fl = certificate(model, binding, flipped)
         assert ex.verdict == fl.verdict == "equivalent"
         assert ex.affine_dim == fl.affine_dim == 0
     bumped = dict(binding)
     bumped["hb"] = binding["hb"] * 2
     a_p, _, _ = ssm.evaluate_exact(model, bumped)
-    ex = sta.solve_similarity_exact(a, a_p, b, c)
+    ex = solve_similarity_exact(a, a_p, b, c)
     fl = certificate(model, binding, bumped)
     assert ex.verdict == fl.verdict == "inequivalent"
 
@@ -412,13 +414,13 @@ def test_exact_certificate_lifts_the_dim_cap():
     a, b, c = ssm.evaluate_exact(model, binding)
     flipped = sta.flip_binding(binding, {"hb", "h3", "h7"})
     a_p, _, _ = ssm.evaluate_exact(model, flipped)
-    inst = sta.solve_similarity_exact(a, a_p, b, c)
+    inst = solve_similarity_exact(a, a_p, b, c)
     assert inst.verdict == "equivalent"
     assert np.array_equal(inst.s_matrix,
                           expected_diag_witness(model, {"hb", "h3", "h7"}))
     bumped = dict(binding, h4=binding["h4"] * Fraction(21, 20))
     a_p, _, _ = ssm.evaluate_exact(model, bumped)
-    inst = sta.solve_similarity_exact(a, a_p, b, c)
+    inst = solve_similarity_exact(a, a_p, b, c)
     assert inst.verdict == "inequivalent"
     assert inst.residual > 0
 

@@ -1,15 +1,20 @@
-"""Every public function and class of the package has a user.
+"""Every public function and class of the package, and of the tests'
+referees, has a user.
 
 Each definition is keyed by its module.  A user is a load of the
 definition, as an ``ast.Name`` or the attribute of an ``ast.Attribute``,
-anywhere in the package outside the definition's own body.  A load is
-resolved through its module's own definitions and imports (imports inside
-functions too), following re-exports such as ``chainsense.symca``'s, so a
-name matches only the definition it reaches.  Imports and ``__all__``
-strings are not uses, and neither is an attribute of anything but a
-module.  The only other users allowed are the referees below: routines
-that no command calls but that the tests compare a pipeline result
-against.
+outside the definition's own body.  A load is resolved through its
+module's own definitions and imports (imports inside functions too),
+following re-exports such as ``chainsense.symca``'s, so a name matches
+only the definition it reaches.  Imports and ``__all__`` strings are not
+uses, and neither is an attribute of anything but a module.
+
+A package definition needs a user in the package.  The only other users
+allowed are the referees below: routines that no command calls but that
+the tests compare a pipeline result against.  A definition in
+``tests/referees`` needs a user among the test modules and referees, and
+no referee may load the package's exact elimination, which it exists to
+check.
 """
 
 import ast
@@ -18,55 +23,33 @@ from pathlib import Path
 import chainsense
 
 PACKAGE = Path(chainsense.__file__).resolve().parent
-BENCH_RUNNER = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+TESTS = Path(__file__).resolve().parent
+BENCH_RUNNER = TESTS.parent / "perfbench" / "run.py"
 
 #: public definitions (module.name) with no caller in the package, and why
-#: each stays
+#: each stays in it
 REFEREES = {
-    "pauli.dense_matrix": "Kronecker referee of the sector Hamiltonian and "
-                          "oracle",
-    "pauli.dense_state": "Kronecker referee of the oracle's initial density "
-                         "matrix",
-    "pauli.multiply": "phase and commutation referee of the inlined "
-                      "derivative kernel",
-    "pauli.commutes": "phase and commutation referee of the inlined "
-                      "derivative kernel",
-    "prng.random_binding": "float binding sampler for the tests and "
-                           "acceptance",
-    "realization.exact_observability_rank": "exact rank behind acceptance 04",
-    "realization.pbh_test_exact": "exact PBH deficiency behind acceptance 04",
-    "realization.even_structure": "exact even-N form [[0, T], [-T^t, 0]] of "
-                                  "the ladder",
-    "realization.even_q_diagonal_closed_form": "closed form of the even-N "
-                                               "structure",
-    "realization.p_vec_closed_form": "SPT closed form of acceptance 05",
-    "realization.p_bar_inverse_last_column_closed_form": "SPT closed form of "
-                                                         "acceptance 05",
     "realization.a_tilde_last_column_closed_form": "SPT closed form of "
-                                                   "acceptance 05",
-    "sta.solve_similarity_exact": "exact re-derivation of the float "
-                                  "certificate",
-    "symca.poly.parse": "the tests write polynomials as text",
-    "symca.transfer.symbolic_transfer": "Faddeev-LeVerrier referee of "
-                                        "symbolic_markov",
-    "symca.transfer.markov_from_transfer": "Markov sequence of the "
-                                           "symbolic_markov referee",
-    "symca.transfer.minimal_denominator_exact": "exact referee of the cube's "
-                                                "order-12 invariants",
-    "symca.transfer.cube_equations": "the pinned N = 2 cube system whose "
-                                     "solve referees the denominator "
-                                     "route's closed forms",
+                                                   "acceptance 05, which "
+                                                   "analyze's odd-N verdict "
+                                                   "is to read",
     "symca.poly.RatFuncField": "QQ(v) coefficients of the parametric "
-                               "elimination behind acceptance 07",
+                               "elimination behind acceptance 07; it leaves "
+                               "with the rest of symca once symca is off "
+                               "the command path",
 }
 
+#: package routines (module, name) that no referee may load
+ELIMINATION = {("chainsense.exact", name)
+               for name in ("det", "solve", "_eliminate")}
 
-def _modules():
-    """{module name relative to the package ('' for its root):
-    (the package its relative imports start from, tree)}."""
+
+def _modules(root, prefix=()):
+    """{dotted module name, as imported: (the package its relative imports
+    start from, tree)} of every file under ``root``."""
     modules = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        parts = path.relative_to(PACKAGE).with_suffix("").parts
+    for path in sorted(root.rglob("*.py")):
+        parts = (*prefix, *path.relative_to(root).with_suffix("").parts)
         package = parts[:-1]
         if parts[-1] == "__init__":
             parts = package
@@ -76,13 +59,19 @@ def _modules():
 
 
 def _imports(package, tree, modules):
-    """{bound name: module name, or (module, name)} for the package's own
-    relative imports anywhere in ``tree``."""
+    """{bound name: module name, or (module, name)} for the imports
+    anywhere in ``tree`` of modules in ``modules``."""
     bound = {}
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.ImportFrom) and node.level):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                if target in modules:
+                    bound[alias.asname or target] = target
             continue
-        base = list(package[:len(package) - node.level + 1])
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = list(package[:len(package) - node.level + 1]) if node.level else []
         base += node.module.split(".") if node.module else []
         for alias in node.names:
             target = ".".join([*base, alias.name])
@@ -91,22 +80,20 @@ def _imports(package, tree, modules):
     return bound
 
 
-def _scan():
-    """{module.name of each public definition: whether the package loads it
-    outside its own body}."""
-    modules = _modules()
+def _loads(modules):
+    """{(module, name) of each module-level function or class: the modules
+    that load it outside its own body}."""
     defined = {}
     for module, (_, tree) in modules.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[(module, node.name)] = set(ast.walk(node))
     imports = {m: _imports(package, tree, modules)
                for m, (package, tree) in modules.items()}
 
     def definition(module, name):
         while (module, name) not in defined:
-            target = imports[module].get(name)
+            target = imports.get(module, {}).get(name)
             if not isinstance(target, tuple):
                 return None
             module, name = target
@@ -123,7 +110,7 @@ def _scan():
                 return inner
         return None
 
-    used = set()
+    loaders = {key: set() for key in defined}
     for module, (_, tree) in modules.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -135,8 +122,17 @@ def _scan():
             else:
                 continue
             if key is not None and node not in defined[key]:
-                used.add(key)
-    return {".".join(filter(None, key)): key in used for key in defined}
+                loaders[key].add(module)
+    return loaders
+
+
+def _scan():
+    """{module.name of each public package definition, the module relative
+    to the package: whether the package loads it outside its own body}."""
+    loads = _loads(_modules(PACKAGE, ("chainsense",)))
+    return {".".join([*module.split(".")[1:], name]): bool(users)
+            for (module, name), users in loads.items()
+            if not name.startswith("_")}
 
 
 def test_every_public_name_has_a_user():
@@ -166,11 +162,29 @@ def test_benchmark_designated_functions_exist():
                 for t in node.targets)
     )
     functions = {
-        f"{module.split('.')[0]}.{node.name}"
-        for module, (_, mod_tree) in _modules().items() if module
+        f"{module.split('.')[1]}.{node.name}"
+        for module, (_, mod_tree) in _modules(PACKAGE, ("chainsense",)).items()
+        if module != "chainsense"
         for node in mod_tree.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
     assert designated
     missing = sorted(set(designated) - functions)
     assert not missing, f"designated functions not in the package: {missing}"
+
+
+def test_referees_under_tests_have_users_and_their_own_elimination():
+    """Every public referee under ``tests/referees`` is loaded by a test
+    module or another referee, so one that nothing compares against fails,
+    and no referee loads ``chainsense.exact``'s elimination."""
+    tests = _modules(TESTS)
+    loads = _loads({**_modules(PACKAGE, ("chainsense",)), **tests})
+    referees = {key: users for key, users in loads.items()
+                if key[0].split(".")[0] == "referees"}
+    assert referees
+    unused = sorted(".".join(key) for key, users in referees.items()
+                    if not users and not key[1].startswith("_"))
+    assert not unused, f"referees with no test: {unused}"
+    shared = sorted(f"{m} loads {'.'.join(key)}" for key in ELIMINATION
+                    for m in loads[key] if m.split(".")[0] == "referees")
+    assert not shared, f"referees on the package elimination: {shared}"

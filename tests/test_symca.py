@@ -31,17 +31,19 @@ from chainsense.symca import (
     RatFunc,
     RatFuncField,
     buchberger,
-    cube_equations,
-    markov_from_transfer,
-    minimal_denominator_exact,
     model_ring,
-    parse,
     render,
     solve_identifiability,
     square_substitute,
     symbolic_markov,
-    symbolic_transfer,
     verify_groebner,
+)
+from referees.poly import parse
+from referees.transfer import (
+    cube_equations,
+    markov_from_transfer,
+    minimal_denominator_exact,
+    symbolic_transfer,
 )
 
 
